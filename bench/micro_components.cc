@@ -9,6 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "common/Rng.hh"
 #include "crypto/Otp.hh"
@@ -138,23 +140,72 @@ BENCHMARK(BM_RecursiveResolve);
 void
 BM_DupQueuePushPop(benchmark::State &state)
 {
+    // A candidate set sized like mcf_shadow_payload's ~70 per miss
+    // (59 stash-shadow offers + 11 placements) spread over the L+2
+    // maxLevel buckets, popped for dummy slots root side first (as
+    // the path write's shadow-fill pass does), with a refill
+    // whenever the queue runs dry for a slot.
+    const unsigned leafLevel = 15;
+    const int candidates = 70;
     DupQueue q(DupQueue::Rank::ByLevelDesc);
     Rng rng(5);
+    std::uint64_t seq = 0;
     for (auto _ : state) {
-        for (int i = 0; i < 40; ++i) {
+        for (int i = 0; i < candidates; ++i) {
             DupCandidate c;
-            c.addr = i;
-            c.rearLevel = static_cast<unsigned>(rng.below(19));
-            c.maxLevel = c.rearLevel;
-            c.seq = static_cast<std::uint64_t>(i);
+            c.addr = static_cast<Addr>(i);
+            c.rearLevel = static_cast<unsigned>(rng.below(leafLevel + 1));
+            c.maxLevel = static_cast<unsigned>(rng.below(leafLevel + 2));
+            c.seq = seq++;
             q.push(c);
         }
-        for (int i = 0; i < 40; ++i)
-            benchmark::DoNotOptimize(q.popFor(i % 12));
+        for (int i = 0; i < candidates; ++i) {
+            const auto slot = static_cast<unsigned>(
+                (i * (leafLevel + 1)) / candidates);
+            std::optional<DupCandidate> got = q.popFor(slot);
+            if (!got) {
+                q.refill();
+                got = q.popFor(slot);
+            }
+            benchmark::DoNotOptimize(got);
+        }
         q.clear();
     }
 }
 BENCHMARK(BM_DupQueuePushPop);
+
+void
+BM_StashDisplaceAtCapacity(benchmark::State &state)
+{
+    // A full 200-entry stash of shadows ranked by a live Hot Address
+    // Cache: every insert displaces the coldest shadow.  range(0)
+    // inserts share one LLC miss (one hotness invalidation), so the
+    // two arguments bracket the re-key cost against the heap cost.
+    const unsigned capacity = 200;
+    const auto insertsPerMiss = static_cast<int>(state.range(0));
+    ShadowPolicy policy(ShadowConfig{}, 15);
+    Stash stash(capacity);
+    stash.setHotnessOracle(&policy);
+    Rng rng(7);
+    Addr next = 0;
+    auto insertShadow = [&] {
+        StashEntry e;
+        e.addr = next++;
+        e.type = BlockType::Shadow;
+        stash.insert(std::move(e));
+    };
+    for (unsigned i = 0; i < capacity; ++i)
+        insertShadow();
+    for (auto _ : state) {
+        policy.onLlcMiss(next - rng.below(capacity));
+        stash.invalidateHotness();
+        for (int i = 0; i < insertsPerMiss; ++i)
+            insertShadow();
+        benchmark::DoNotOptimize(stash.size());
+    }
+    state.SetItemsProcessed(state.iterations() * insertsPerMiss);
+}
+BENCHMARK(BM_StashDisplaceAtCapacity)->Arg(1)->Arg(16);
 
 void
 BM_WorkloadGeneration(benchmark::State &state)

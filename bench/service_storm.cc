@@ -149,6 +149,7 @@ struct PointOutcome
 {
     bool stalled = false;  ///< Liveness watchdog fired.
     svc::ServiceStats s;
+    svc::ServiceArtifacts a;
 };
 
 /**
@@ -185,11 +186,11 @@ outcomeFingerprint(const PointOutcome &o)
              s.stages[i].count * (131 + 2 * i) +
              s.stages[i].p999 * (151 + 2 * i);
     h ^= ckpt::fnv1a(reinterpret_cast<const std::uint8_t *>(
-                         s.exemplarsJsonl.data()),
-                     s.exemplarsJsonl.size());
+                         o.a.exemplarsJsonl.data()),
+                     o.a.exemplarsJsonl.size());
     h ^= ckpt::fnv1a(
-        reinterpret_cast<const std::uint8_t *>(s.flightJson.data()),
-        s.flightJson.size(), 0x9e3779b97f4a7c15ULL);
+        reinterpret_cast<const std::uint8_t *>(o.a.flightJson.data()),
+        o.a.flightJson.size(), 0x9e3779b97f4a7c15ULL);
     return h;
 }
 
@@ -201,7 +202,9 @@ runPoint(svc::ServiceConfig cfg)
 {
     PointOutcome out;
     try {
-        out.s = svc::runService(cfg);
+        svc::ServicePipeline pipeline(cfg);
+        out.s = pipeline.run();
+        out.a = pipeline.artifacts();
     } catch (const ServiceStallError &) {
         out.stalled = true;
     }
@@ -533,7 +536,7 @@ runBench()
             jsonl += "\", \"policy\": \"";
             jsonl += row.policy;
             jsonl += "\"}}\n";
-            jsonl += row.o.s.exemplarsJsonl;
+            jsonl += row.o.a.exemplarsJsonl;
         }
         const std::string dir = obs::dirOverride();
         const std::string path =

@@ -110,9 +110,18 @@ class DuplicationPolicy
     /** Current partitioning level (for statistics; L+1 when unused). */
     virtual unsigned partitionLevel() const { return 0; }
 
-    /** Access-frequency estimate for an address (HD-Dup's Hot
-     *  Address Cache); the stash uses it to pick displacement
-     *  victims among shadow entries. */
+    /**
+     * Access-frequency estimate for an address (HD-Dup's Hot Address
+     * Cache); the stash uses it to pick displacement victims among
+     * shadow entries.
+     *
+     * Contract: the value for any address may change only across
+     * onLlcMiss() or a state restore.  The stash caches these values
+     * per entry and re-reads them only after the controller tells it
+     * one of those happened (Stash::invalidateHotness), so an
+     * implementation that drifts at other times would pick stale
+     * victims.
+     */
     virtual std::uint32_t
     hotnessOf(Addr addr) const
     {

@@ -1,38 +1,148 @@
 #include "Stash.hh"
 
-#include <algorithm>
-
 namespace sboram {
+
+namespace {
+
+/** Heap order: colder first, then older (seq is unique). */
+bool
+colder(const StashEntry *a, const StashEntry *b)
+{
+    if (a->hotness != b->hotness)
+        return a->hotness < b->hotness;
+    return a->seq < b->seq;
+}
+
+} // namespace
+
+void
+Stash::siftUp(std::uint32_t idx)
+{
+    StashEntry *entry = _shadows[idx];
+    while (idx > 0) {
+        const std::uint32_t parent = (idx - 1) / 2;
+        if (!colder(entry, _shadows[parent]))
+            break;
+        setShadowAt(idx, _shadows[parent]);
+        idx = parent;
+    }
+    setShadowAt(idx, entry);
+}
+
+void
+Stash::siftDown(std::uint32_t idx)
+{
+    StashEntry *entry = _shadows[idx];
+    const std::uint32_t n = static_cast<std::uint32_t>(_shadows.size());
+    for (;;) {
+        std::uint32_t child = 2 * idx + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && colder(_shadows[child + 1], _shadows[child]))
+            ++child;
+        if (!colder(_shadows[child], entry))
+            break;
+        setShadowAt(idx, _shadows[child]);
+        idx = child;
+    }
+    setShadowAt(idx, entry);
+}
+
+void
+Stash::link(StashEntry *entry)
+{
+    entry->prev = _tail;
+    entry->next = nullptr;
+    if (_tail)
+        _tail->next = entry;
+    else
+        _head = entry;
+    _tail = entry;
+}
+
+void
+Stash::unlink(StashEntry *entry)
+{
+    if (entry->prev)
+        entry->prev->next = entry->next;
+    else
+        _head = entry->next;
+    if (entry->next)
+        entry->next->prev = entry->prev;
+    else
+        _tail = entry->prev;
+}
+
+void
+Stash::resift(std::uint32_t idx)
+{
+    if (idx > 0 && colder(_shadows[idx], _shadows[(idx - 1) / 2]))
+        siftUp(idx);
+    else
+        siftDown(idx);
+}
+
+void
+Stash::addShadow(StashEntry *entry)
+{
+    const auto idx = static_cast<std::uint32_t>(_shadows.size());
+    _shadows.push_back(entry);
+    entry->shadowIdx = idx;
+    // While the keys are stale the value is provisional: the next
+    // displacement re-reads it before any victim is chosen.
+    entry->hotness =
+        _keysFresh && _hotness ? _hotness->hotnessOf(entry->addr) : 0;
+    siftUp(idx);
+}
+
+void
+Stash::removeShadow(StashEntry *entry)
+{
+    const std::uint32_t idx = entry->shadowIdx;
+    StashEntry *last = _shadows.back();
+    _shadows.pop_back();
+    if (last == entry)
+        return;
+    setShadowAt(idx, last);
+    resift(idx);
+}
+
+void
+Stash::refreshKeys()
+{
+    // Re-read every shadow's hotness once, then re-sift only the
+    // entries whose key moved (usually a handful); each re-sift keeps
+    // the heap valid.  Reading before applying keeps the visit
+    // independent of the positions the re-sifts shuffle.
+    if (_hotness) {
+        _moved.clear();
+        for (StashEntry *e : _shadows) {
+            const std::uint32_t hot = _hotness->hotnessOf(e->addr);
+            if (hot != e->hotness)
+                _moved.emplace_back(e, hot);
+        }
+        for (const auto &[entry, hot] : _moved) {
+            entry->hotness = hot;
+            resift(entry->shadowIdx);
+        }
+    }
+    _keysFresh = true;
+}
 
 void
 Stash::enforceCapacity()
 {
     // The stash is a fixed-size CAM: shadow entries are replaceable
-    // and get displaced (oldest first) when the structure fills up;
-    // real entries beyond the capacity are an overflow (counted by
-    // trackOccupancy — functionally we keep them so the simulation
-    // can proceed).
-    while (_entries.size() > _capacity) {
-        // Victim selection is a strict minimum over the (hotness,
-        // seq) key and seq is unique, so the choice is identical for
-        // any scan order.  Scanning the shadow side-list touches
-        // exactly the displaceable entries — no hashing, no visits
-        // to real entries.
-        StashEntry *victim = nullptr;
-        std::uint32_t coldest = ~std::uint32_t(0);
-        std::uint64_t oldest = ~std::uint64_t(0);
-        for (StashEntry *e : _shadows) {
-            const std::uint32_t hot =
-                _hotness ? _hotness->hotnessOf(e->addr) : 0;
-            if (hot < coldest || (hot == coldest && e->seq < oldest)) {
-                coldest = hot;
-                oldest = e->seq;
-                victim = e;
-            }
-        }
-        if (victim == nullptr)
-            break;  // Only real entries left; overflow accounting.
+    // and get displaced (coldest, then oldest, first) when the
+    // structure fills up; real entries beyond the capacity are an
+    // overflow (counted by trackOccupancy — functionally we keep them
+    // so the simulation can proceed).
+    while (_entries.size() > _capacity && !_shadows.empty()) {
+        if (!_keysFresh)
+            refreshKeys();
+        StashEntry *victim = _shadows.front();
         removeShadow(victim);
+        unlink(victim);
         recyclePayload(*victim);
         _entries.erase(victim->addr);
     }
@@ -52,6 +162,7 @@ Stash::insert(StashEntry entry)
         const Addr addr = entry.addr;
         auto [pos, inserted] = _entries.emplace(addr, std::move(entry));
         (void)inserted;
+        link(&pos->second);
         if (pos->second.isShadow())
             addShadow(&pos->second);
         enforceCapacity();
@@ -86,8 +197,10 @@ Stash::insert(StashEntry entry)
               static_cast<unsigned long long>(entry.addr));
     ++_stats.mergesRealWins;
     removeShadow(&existing);
+    unlink(&existing);
     recyclePayload(existing);
     existing = std::move(entry);
+    link(&existing);  // It took the newest seq.
     ++_realCount;
     trackOccupancy();
     return true;
@@ -117,6 +230,7 @@ Stash::remove(Addr addr)
         --_realCount;
     else
         removeShadow(&it->second);
+    unlink(&it->second);
     recyclePayload(it->second);
     _entries.erase(it);
 }
@@ -127,6 +241,7 @@ Stash::dropShadowOf(Addr addr)
     auto it = _entries.find(addr);
     if (it != _entries.end() && it->second.type == BlockType::Shadow) {
         removeShadow(&it->second);
+        unlink(&it->second);
         recyclePayload(it->second);
         _entries.erase(it);
     }
@@ -150,29 +265,19 @@ Stash::saveState(ckpt::Serializer &out) const
     out.u64(_stats.overflowEvents);
     out.u64(_stats.mergesRealWins);
     out.u64(_stats.mergesShadowDup);
-    // Serialize in seq order, not map order: the hash map's iteration
-    // order is an implementation detail that varies across processes,
-    // and a snapshot must be byte-identical for identical stash
-    // contents (generation diffing, resume bit-equality tests).
-    std::vector<const StashEntry *> ordered;
-    ordered.reserve(_entries.size());
-    // Collects every entry, then sorts by the unique seq.
-    // sblint:allow-next-line(unordered-iteration): order canonicalised by the seq sort below
-    for (const auto &kv : _entries)
-        ordered.push_back(&kv.second);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const StashEntry *a, const StashEntry *b) {
-                  return a->seq < b->seq;
-              });
-    out.u64(ordered.size());
-    for (const StashEntry *ep : ordered) {
-        const StashEntry &e = *ep;
-        out.u64(e.addr);
-        out.u64(e.leaf);
-        out.u32(e.version);
-        out.u8(static_cast<std::uint8_t>(e.type));
-        out.u64(e.seq);
-        out.vecU64(e.payload);
+    // Serialize in seq order (the entry list's order), not map
+    // order: the hash map's iteration order is an implementation
+    // detail that varies across processes, and a snapshot must be
+    // byte-identical for identical stash contents (generation
+    // diffing, resume bit-equality tests).
+    out.u64(_entries.size());
+    for (const StashEntry *e = _head; e; e = e->next) {
+        out.u64(e->addr);
+        out.u64(e->leaf);
+        out.u32(e->version);
+        out.u8(static_cast<std::uint8_t>(e->type));
+        out.u64(e->seq);
+        out.vecU64(e->payload);
     }
 }
 
@@ -187,6 +292,8 @@ Stash::loadState(ckpt::Deserializer &in)
     _stats.mergesShadowDup = in.u64();
     _entries.clear();
     _shadows.clear();
+    _head = _tail = nullptr;
+    _keysFresh = false;
     const std::uint64_t count = in.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
         StashEntry e;
@@ -196,9 +303,12 @@ Stash::loadState(ckpt::Deserializer &in)
         e.type = static_cast<BlockType>(in.u8());
         e.seq = in.u64();
         e.payload = in.vecU64();
+        if (_tail && e.seq <= _tail->seq)
+            throw CkptMismatchError("stash entries out of seq order");
         const Addr addr = e.addr;
         auto [pos, inserted] = _entries.emplace(addr, std::move(e));
         (void)inserted;
+        link(&pos->second);
         if (pos->second.isShadow())
             addShadow(&pos->second);
     }

@@ -41,9 +41,17 @@ struct StashEntry
     std::uint32_t version = 0;
     BlockType type = BlockType::Dummy;
     std::uint64_t seq = 0;  ///< Insertion order, for determinism.
-    /** Position in the stash's shadow side-list while this entry is a
+    /** Cached hotness (the displacement key) while this entry is a
+     *  stash-resident shadow; provisional while the stash's keys are
+     *  stale.  Transient bookkeeping, not serialized. */
+    std::uint32_t hotness = 0;
+    /** Position in the stash's shadow heap while this entry is a
      *  stash-resident shadow; transient bookkeeping, not serialized. */
     std::uint32_t shadowIdx = 0;
+    /** Neighbours in the stash's seq-ordered entry list; transient
+     *  bookkeeping, not serialized. */
+    StashEntry *prev = nullptr;
+    StashEntry *next = nullptr;
     SB_SECRET std::vector<std::uint64_t> payload;
 
     bool isShadow() const { return type == BlockType::Shadow; }
@@ -62,6 +70,10 @@ class Stash
 {
   public:
     explicit Stash(unsigned capacity) : _capacity(capacity) {}
+
+    // The entry list and the shadow heap point into the map's nodes.
+    Stash(const Stash &) = delete;
+    Stash &operator=(const Stash &) = delete;
 
     /**
      * Insert a block, applying the merge rules.  Returns false when
@@ -89,6 +101,8 @@ class Stash
     }
 
     std::uint64_t size() const { return _entries.size(); }
+    /** insert() calls so far, merges included (each consumes a seq). */
+    std::uint64_t inserts() const { return _nextSeq; }
     unsigned capacity() const { return _capacity; }
 
     const StashStats &stats() const { return _stats; }
@@ -148,7 +162,8 @@ class Stash
      * of each level; entries it places are marked consumed so they
      * stop appearing at shallower levels — exactly the behaviour of
      * re-running eligibleForLevel() against the shrinking stash, at
-     * one pass + one sort per eviction instead of one per level.
+     * one walk of the seq-ordered entry list per eviction instead of
+     * a rescan + sort per level.
      *
      * Valid only while no entries are *added* to the stash (path
      * write pass 1 only removes).
@@ -192,9 +207,9 @@ class Stash
     };
 
     /**
-     * Build the placement plan for one eviction: a single bucketing
-     * pass over the stash computes each entry's common-prefix level
-     * with the eviction path, then one sort establishes the
+     * Build the placement plan for one eviction: a single pass over
+     * the stash's seq-ordered entry list per class computes each
+     * entry's common-prefix level with the eviction path, already in
      * canonical order.  @p commonLevelFn maps a block leaf to the
      * common prefix length with the eviction leaf.
      */
@@ -221,52 +236,69 @@ class Stash
     {
         plan._order.clear();
         plan._order.reserve(_entries.size());
-        // sblint:allow-next-line(unordered-iteration): bucketing pass only; order canonicalised by the (class, seq) sort below
-        for (const auto &kv : _entries) {
-            PlanEntry e;
-            e.addr = kv.second.addr;
-            e.commonLevel = commonLevelFn(kv.second.leaf);
-            e.shadow = kv.second.isShadow();
-            e.seq = kv.second.seq;
-            plan._order.push_back(e);
+        for (const bool shadows : {false, true}) {
+            for (const StashEntry *e = _head; e; e = e->next) {
+                if (e->isShadow() != shadows)
+                    continue;
+                PlanEntry pe;
+                pe.addr = e->addr;
+                pe.commonLevel = commonLevelFn(e->leaf);
+                pe.shadow = shadows;
+                pe.seq = e->seq;
+                plan._order.push_back(pe);
+            }
         }
-        std::sort(plan._order.begin(), plan._order.end(),
-                  [](const PlanEntry &a, const PlanEntry &b) {
-                      if (a.shadow != b.shadow)
-                          return !a.shadow;  // reals first
-                      return a.seq < b.seq;
-                  });
     }
 
-    /**
-     * Visit every entry (order unspecified by contract).  Callers
-     * that are order-sensitive must collect and sort by the unique
-     * seq — see TinyOram::pathWrite's stash-shadow offers.
-     */
+    /** Visit every entry in insertion (seq) order. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        // sblint:allow-next-line(unordered-iteration): contract is order-unspecified; order-sensitive callers sort by unique seq
-        for (const auto &kv : _entries)
-            fn(kv.second);
+        for (const StashEntry *e = _head; e; e = e->next)
+            fn(*e);
+    }
+
+    /** Visit every shadow entry in insertion (seq) order. */
+    template <typename Fn>
+    void
+    forEachShadow(Fn &&fn) const
+    {
+        for (const StashEntry *e = _head; e; e = e->next) {
+            if (e->isShadow())
+                fn(*e);
+        }
     }
 
     /**
      * Install a hotness oracle used to pick shadow-displacement
-     * victims: when the CAM fills up, the coldest shadow goes first
-     * (HD-Dup's Hot Address Cache provides the ranking).  Without an
-     * oracle, displacement is oldest-first.  A raw interface pointer
-     * (not owned; must outlive the stash) replaces the previous
-     * std::function: the oracle fires once per shadow entry per
-     * displacement, and the type-erased wrapper was a measured hot
-     * symbol.
+     * victims: when the CAM fills up, the coldest shadow goes first,
+     * oldest among equally cold ones (HD-Dup's Hot Address Cache
+     * provides the ranking).  Without an oracle, displacement is
+     * oldest-first.  Not owned; must outlive the stash.
+     *
+     * Each shadow's hotness is cached in its entry, so the oracle is
+     * read at most once per shadow insert plus once per shadow after
+     * each invalidation, not once per shadow per displacement.  The
+     * cache relies on the hotnessOf contract: a
+     * value changes only across DuplicationPolicy::onLlcMiss or a
+     * state restore.  Whoever drives those must call
+     * invalidateHotness() afterwards (TinyOram::access does; so does
+     * loadState).
      */
     void
     setHotnessOracle(const DuplicationPolicy *policy)
     {
         _hotness = policy;
+        _keysFresh = false;
     }
+
+    /**
+     * The oracle's values may have changed: the next displacement
+     * re-reads every shadow's hotness once and re-sifts the entries
+     * whose value moved.  Until then inserts skip the oracle.
+     */
+    void invalidateHotness() { _keysFresh = false; }
 
     /**
      * Install the pool that receives payload buffers of entries the
@@ -286,7 +318,9 @@ class Stash
     /**
      * Restore from a checkpoint, bypassing merge/capacity logic (the
      * snapshot already holds a legal post-merge stash).  The hotness
-     * oracle and payload recycler are not state and stay installed.
+     * oracle and payload recycler are not state and stay installed;
+     * the cached hotness is marked stale (the oracle may have been
+     * restored too).
      */
     void loadState(ckpt::Deserializer &in);
 
@@ -305,23 +339,21 @@ class Stash
             _recycle->release(std::move(entry.payload));
     }
 
-    /** Track @p entry in the shadow side-list (see _shadows). */
-    void
-    addShadow(StashEntry *entry)
-    {
-        entry->shadowIdx = static_cast<std::uint32_t>(_shadows.size());
-        _shadows.push_back(entry);
-    }
+    void link(StashEntry *entry);
+    void unlink(StashEntry *entry);
+    void addShadow(StashEntry *entry);
+    void removeShadow(StashEntry *entry);
+    void refreshKeys();
+    void siftUp(std::uint32_t idx);
+    void siftDown(std::uint32_t idx);
+    void resift(std::uint32_t idx);
 
-    /** Untrack @p entry: swap-remove (the list is unordered). */
+    /** Store @p entry at heap position @p idx. */
     void
-    removeShadow(StashEntry *entry)
+    setShadowAt(std::uint32_t idx, StashEntry *entry)
     {
-        const std::uint32_t idx = entry->shadowIdx;
-        StashEntry *last = _shadows.back();
-        _shadows[idx] = last;
-        last->shadowIdx = idx;
-        _shadows.pop_back();
+        _shadows[idx] = entry;
+        entry->shadowIdx = idx;
     }
 
     unsigned _capacity;
@@ -329,13 +361,26 @@ class Stash
     std::uint64_t _realCount = 0;
     std::unordered_map<Addr, StashEntry> _entries;
     /**
+     * Every entry, by pointer (unordered_map nodes are pointer-
+     * stable), in a doubly linked list ordered by seq: an entry is
+     * linked at the tail exactly when it takes the next seq, so the
+     * canonical orders the eviction plan, the shadow offers and the
+     * snapshot need come from a walk instead of a sort.
+     */
+    StashEntry *_head = nullptr;
+    StashEntry *_tail = nullptr;
+    /**
      * Every shadow entry, by pointer (unordered_map nodes are
-     * pointer-stable).  Displacement victim selection scans only
-     * this list instead of hashing through the whole map; the scan
-     * is a strict minimum over the unique (hotness, seq) key, so the
-     * list's order never influences the choice.
+     * pointer-stable), as an indexed binary min-heap on the cached
+     * (hotness, seq) key.  seq is unique, so the key is a strict
+     * total order; once the keys are fresh the root is exactly the
+     * full (hotness, seq) scan-min, i.e. the displacement victim.
      */
     std::vector<StashEntry *> _shadows;
+    /** Every cached hotness matches the oracle (see hotnessOf). */
+    bool _keysFresh = true;
+    /** refreshKeys() scratch: entries whose hotness moved. */
+    std::vector<std::pair<StashEntry *, std::uint32_t>> _moved;
     const DuplicationPolicy *_hotness = nullptr;
     VectorPool *_recycle = nullptr;
     StashStats _stats;

@@ -1,5 +1,7 @@
 #include "DupQueues.hh"
 
+#include <algorithm>
+
 namespace sboram {
 
 bool
@@ -19,26 +21,77 @@ DupQueue::better(const DupCandidate &a, const DupCandidate &b) const
     return a.seq > b.seq;
 }
 
+void
+DupQueue::push(const DupCandidate &cand)
+{
+    if (cand.maxLevel >= _buckets.size())
+        _buckets.resize(cand.maxLevel + 1);
+    Bucket &bucket = _buckets[cand.maxLevel];
+    bucket.entries.push_back(Entry{cand, _refills});
+    bucket.sorted = false;
+    ++_pushed;
+    ++_size;
+}
+
+void
+DupQueue::refill()
+{
+    // Every entry gains one copy.  drawn never runs more than one
+    // epoch ahead of _refills, so afterwards every entry has a copy
+    // and each bucket's head restarts at its first entry.
+    ++_refills;
+    for (Bucket &bucket : _buckets)
+        bucket.head = 0;
+    _size += _pushed;
+}
+
 std::optional<DupCandidate>
 DupQueue::popFor(unsigned slotLevel)
 {
-    // Strict minimum over the `better` total order among qualifying
-    // candidates; ties only occur between field-identical refill
-    // copies, so the choice does not depend on storage order.  The
-    // winner is removed by swap-with-last (order carries no meaning).
-    std::size_t best = _items.size();
-    for (std::size_t i = 0; i < _items.size(); ++i) {
-        if (_items[i].maxLevel <= slotLevel)
+    // Rule-2: only buckets with maxLevel > slotLevel qualify.  Heads
+    // of different buckets are distinct candidates, so the strict
+    // minimum over heads is well defined.
+    Bucket *best = nullptr;
+    for (std::size_t m = slotLevel + 1; m < _buckets.size(); ++m) {
+        Bucket &bucket = _buckets[m];
+        std::vector<Entry> &entries = bucket.entries;
+        if (!bucket.sorted) {
+            std::sort(entries.begin(), entries.end(),
+                      [this](const Entry &a, const Entry &b) {
+                          return better(a.cand, b.cand);
+                      });
+            bucket.sorted = true;
+            bucket.head = 0;
+        }
+        while (bucket.head < entries.size() &&
+               entries[bucket.head].drawn > _refills)
+            ++bucket.head;
+        if (bucket.head == entries.size())
             continue;
-        if (best == _items.size() || better(_items[i], _items[best]))
-            best = i;
+        if (best == nullptr ||
+            better(entries[bucket.head].cand,
+                   best->entries[best->head].cand))
+            best = &bucket;
     }
-    if (best == _items.size())
+    if (best == nullptr)
         return std::nullopt;
-    DupCandidate c = _items[best];
-    _items[best] = _items.back();
-    _items.pop_back();
-    return c;
+    Entry &e = best->entries[best->head];
+    ++e.drawn;
+    --_size;
+    return e.cand;
+}
+
+void
+DupQueue::clear()
+{
+    for (Bucket &bucket : _buckets) {
+        bucket.entries.clear();
+        bucket.head = 0;
+        bucket.sorted = true;
+    }
+    _refills = 0;
+    _pushed = 0;
+    _size = 0;
 }
 
 } // namespace sboram

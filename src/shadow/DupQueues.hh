@@ -45,14 +45,22 @@ struct DupCandidate
 };
 
 /**
- * One priority queue of duplication candidates.  Implemented as an
- * unsorted vector with selection at pop time: push is O(1), popFor
- * scans for the best qualifying candidate.  Pushes vastly outnumber
- * pops on the eviction path (every placed block enters both queues,
- * and refills re-push the whole candidate set), so moving the work
- * to the pop side wins — and `better` is a strict total order (the
- * unique seq breaks every tie), so scan-min selects exactly the
- * element a best-first sorted vector would have popped.
+ * One priority queue of duplication candidates, bucketed by
+ * maxLevel.  Each bucket is kept sorted best-first under `better`
+ * (sorted lazily, at the first pop after a push), and popFor(slot)
+ * compares only the heads of the buckets deeper than the slot
+ * (Rule-2): O(levels) per pop, one sort per bucket per path write.
+ * `better` is a strict total order except between field-identical
+ * copies (the unique seq breaks every other tie), so the pop is
+ * exactly the scan-min over every qualifying candidate.
+ *
+ * A refill re-offers one more copy of every candidate pushed since
+ * the last clear() ("shadow block(s)": a block may be duplicated
+ * more than once per path write).  Copies are counted, not stored:
+ * each entry tracks how many of its copies have been drawn, so a
+ * refill is O(levels) and the queue never grows with refills.
+ * Bucket storage is kept across clear(), so a queue reused path
+ * write after path write allocates nothing in steady state.
  */
 class DupQueue
 {
@@ -62,7 +70,10 @@ class DupQueue
 
     explicit DupQueue(Rank rank) : _rank(rank) {}
 
-    void push(const DupCandidate &cand) { _items.push_back(cand); }
+    void push(const DupCandidate &cand);
+
+    /** Add one more copy of every candidate pushed since clear(). */
+    void refill();
 
     /**
      * Pop the best candidate placed strictly deeper than @p slotLevel
@@ -70,14 +81,37 @@ class DupQueue
      */
     std::optional<DupCandidate> popFor(unsigned slotLevel);
 
-    void clear() { _items.clear(); }
-    std::size_t size() const { return _items.size(); }
+    void clear();
+    /** Queued copies (pushes plus refill copies, minus pops). */
+    std::size_t size() const { return _size; }
 
   private:
+    struct Entry
+    {
+        DupCandidate cand;
+        /** Pushed with drawn = _refills (one copy); each refill adds
+         *  a copy and each pop takes one, leaving
+         *  _refills + 1 - drawn copies. */
+        std::uint32_t drawn = 0;
+    };
+
+    struct Bucket
+    {
+        std::vector<Entry> entries;
+        /** Every entry before head has no copy left. */
+        std::size_t head = 0;
+        bool sorted = true;
+    };
+
     bool better(const DupCandidate &a, const DupCandidate &b) const;
 
     Rank _rank;
-    std::vector<DupCandidate> _items;  ///< Unsorted; selected at pop.
+    /** _buckets[m]: the candidates with maxLevel m.  Grown on
+     *  demand, never shrunk. */
+    std::vector<Bucket> _buckets;
+    std::uint32_t _refills = 0;  ///< Refills since clear().
+    std::size_t _pushed = 0;     ///< Pushes since clear().
+    std::size_t _size = 0;
 };
 
 } // namespace sboram

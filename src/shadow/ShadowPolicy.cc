@@ -40,7 +40,6 @@ ShadowPolicy::beginPathWrite(LeafLabel leaf)
     (void)leaf;
     _rdQueue.clear();
     _hdQueue.clear();
-    _allCandidates.clear();
 }
 
 void
@@ -51,7 +50,6 @@ ShadowPolicy::pushCandidate(const DupCandidate &cand)
     // V-B2).
     _rdQueue.push(cand);
     _hdQueue.push(cand);
-    _allCandidates.push_back(cand);
 }
 
 void
@@ -95,12 +93,11 @@ ShadowPolicy::selectShadow(unsigned level)
     const bool useHd = level < _partition.level();
     DupQueue &queue = useHd ? _hdQueue : _rdQueue;
     std::optional<DupCandidate> cand = queue.popFor(level);
-    if (!cand && _cfg.refillQueues && !_allCandidates.empty()) {
+    if (!cand && _cfg.refillQueues) {
         // The working queue ran dry for this slot: refill from the
         // full candidate set — a block may carry more than one
         // shadow copy per path ("shadow block(s)").
-        for (const DupCandidate &c : _allCandidates)
-            queue.push(c);
+        queue.refill();
         cand = queue.popFor(level);
     }
     if (!cand)
@@ -122,7 +119,6 @@ ShadowPolicy::endPathWrite()
 {
     _rdQueue.clear();
     _hdQueue.clear();
-    _allCandidates.clear();
 }
 
 void

@@ -88,10 +88,9 @@ class ShadowPolicy : public DuplicationPolicy
 
     /**
      * Checkpoint the policy at an access boundary.  The duplication
-     * queues and the per-path-write candidate list are rebuilt by
-     * beginPathWrite() and always empty between accesses, so only the
-     * durable pieces travel: hot cache, partition state, stats, and
-     * the candidate sequence counter.
+     * queues are rebuilt by beginPathWrite() and always empty between
+     * accesses, so only the durable pieces travel: hot cache,
+     * partition state, stats, and the candidate sequence counter.
      */
     void
     saveState(ckpt::Serializer &out) const
@@ -126,10 +125,6 @@ class ShadowPolicy : public DuplicationPolicy
     PartitionController _partition;
     DupQueue _rdQueue;
     DupQueue _hdQueue;
-    /** Everything offered this path write, for queue refills: a
-     *  candidate may be duplicated more than once per path write
-     *  ("shadow block(s)", paper Section IV-A). */
-    std::vector<DupCandidate> _allCandidates;
     std::uint64_t _candidateSeq = 0;
     ShadowPolicyStats _stats;
 };

@@ -81,6 +81,7 @@ struct ServicePipeline::Impl
     std::uint64_t injectedCursor = 0;
 
     bool ran = false;
+    ServiceArtifacts artifacts;
 
     explicit Impl(const ServiceConfig &c)
         : cfg(c), dram(c.dramTiming, c.dramGeometry), gen(c.arrivals)
@@ -793,10 +794,10 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     stats.sloBreaches = slo.breaches();
     stats.sloWorstBurnMilli = slo.worstBurnMilli();
     stats.stages = stageAcc.finalize();
-    stats.exemplarsJsonl = exemplars.renderJsonl();
-    stats.flightJson = flight.renderJson(flightLabel);
+    _impl->artifacts.exemplarsJsonl = exemplars.renderJsonl();
+    _impl->artifacts.flightJson = flight.renderJson(flightLabel);
     if (!flight.empty())
-        obs::publishFlightDump(flightLabel, stats.flightJson);
+        obs::publishFlightDump(flightLabel, _impl->artifacts.flightJson);
 
     stats.finishTime = now;
     stats.oram = oram.stats();
@@ -821,6 +822,12 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         obsPtr->close();
     }
     return stats;
+}
+
+const ServiceArtifacts &
+ServicePipeline::artifacts() const
+{
+    return _impl->artifacts;
 }
 
 ServiceStats

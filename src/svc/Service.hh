@@ -150,6 +150,20 @@ struct ControlRecord
     bool pressureOn = false;  ///< Pressure only.
 };
 
+/**
+ * Rendered observability artifacts of one service run.  Kept apart
+ * from ServiceStats: they run to ~150 KB per run, and callers that
+ * keep the stats of many runs need not keep these.
+ */
+struct ServiceArtifacts
+{
+    /** Rendered exemplar rows (JSONL) — the PRF-sampled per-bin
+     *  request traces; empty when no request completed. */
+    std::string exemplarsJsonl;
+    /** Rendered flight-recorder dump (one JSON object). */
+    std::string flightJson;
+};
+
 /** Outcome of one service run. */
 struct ServiceStats
 {
@@ -192,12 +206,6 @@ struct ServiceStats
     std::uint64_t sloWindows = 0;
     std::uint64_t sloBreaches = 0;
     std::uint64_t sloWorstBurnMilli = 0;
-
-    /** Rendered exemplar rows (JSONL) — the PRF-sampled per-bin
-     *  request traces; empty when no request completed. */
-    std::string exemplarsJsonl;
-    /** Rendered flight-recorder dump (one JSON object). */
-    std::string flightJson;
 
     /** Final controller statistics. */
     OramStats oram;
@@ -249,6 +257,9 @@ class ServicePipeline
      * InterruptedError on a stop request (after a final snapshot).
      */
     ServiceStats run(ckpt::CheckpointSession *session = nullptr);
+
+    /** The artifacts of the completed run() (empty before it). */
+    const ServiceArtifacts &artifacts() const;
 
     const TinyOram &oram() const { return *_oram; }
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/Checkpoint.hh"
@@ -281,16 +282,30 @@ TEST(SloMonitor, DisabledAndSerde)
 
 // --- end-to-end through the pipeline ----------------------------------
 
+namespace {
+
+/** Run one pipeline to completion: its stats and its artifacts. */
+std::pair<svc::ServiceStats, svc::ServiceArtifacts>
+runWithArtifacts(const svc::ServiceConfig &cfg,
+                 ckpt::CheckpointSession *session = nullptr)
+{
+    svc::ServicePipeline pipeline(cfg);
+    svc::ServiceStats stats = pipeline.run(session);
+    return {stats, pipeline.artifacts()};
+}
+
+} // namespace
+
 TEST(RequestObs, PipelineArtifactsAreReproducible)
 {
     const svc::ServiceConfig cfg = obsServiceConfig();
-    const svc::ServiceStats a = svc::runService(cfg);
-    const svc::ServiceStats b = svc::runService(cfg);
+    const auto [a, aArt] = runWithArtifacts(cfg);
+    const auto [b, bArt] = runWithArtifacts(cfg);
 
     EXPECT_EQ(a.stageBalanceViolations, 0u);
     EXPECT_EQ(b.stageBalanceViolations, 0u);
-    EXPECT_EQ(a.exemplarsJsonl, b.exemplarsJsonl);
-    EXPECT_EQ(a.flightJson, b.flightJson);
+    EXPECT_EQ(aArt.exemplarsJsonl, bArt.exemplarsJsonl);
+    EXPECT_EQ(aArt.flightJson, bArt.flightJson);
     for (std::size_t i = 0; i < kStageIdCount; ++i) {
         EXPECT_EQ(a.stages[i].count, b.stages[i].count);
         EXPECT_EQ(a.stages[i].total, b.stages[i].total);
@@ -310,16 +325,16 @@ TEST(RequestObs, PipelineArtifactsAreReproducible)
     EXPECT_EQ(a.sloWorstBurnMilli, b.sloWorstBurnMilli);
 
     // Artifacts parse under the strict validator.
-    EXPECT_TRUE(validateJsonl(a.exemplarsJsonl).ok);
-    EXPECT_TRUE(validateJson(a.flightJson).ok);
-    EXPECT_NE(a.flightJson.find("\"kind\": \"shed_admission\""),
+    EXPECT_TRUE(validateJsonl(aArt.exemplarsJsonl).ok);
+    EXPECT_TRUE(validateJson(aArt.flightJson).ok);
+    EXPECT_NE(aArt.flightJson.find("\"kind\": \"shed_admission\""),
               std::string::npos);
 }
 
 TEST(RequestObs, KillAndResumeReproducesObsArtifacts)
 {
     const svc::ServiceConfig cfg = obsServiceConfig();
-    const svc::ServiceStats s0 = svc::runService(cfg);
+    const auto [s0, art0] = runWithArtifacts(cfg);
     ASSERT_GT(s0.requestsShed, 0u);
 
     TempDir dir;
@@ -335,12 +350,12 @@ TEST(RequestObs, KillAndResumeReproducesObsArtifacts)
     svc::ServiceConfig resumed = cfg;
     resumed.checkpointInterval = 50;
     ckpt::CheckpointSession session(dir.path(), key);
-    const svc::ServiceStats s1 = svc::runService(resumed, &session);
+    const auto [s1, art1] = runWithArtifacts(resumed, &session);
 
     // The kSectionReqObs section must carry the sampler, accumulator,
     // SLO and ring across the kill: artifacts match stat for stat.
-    EXPECT_EQ(s0.exemplarsJsonl, s1.exemplarsJsonl);
-    EXPECT_EQ(s0.flightJson, s1.flightJson);
+    EXPECT_EQ(art0.exemplarsJsonl, art1.exemplarsJsonl);
+    EXPECT_EQ(art0.flightJson, art1.flightJson);
     EXPECT_EQ(s0.stageBalanceViolations, s1.stageBalanceViolations);
     EXPECT_EQ(s0.sloWindows, s1.sloWindows);
     EXPECT_EQ(s0.sloBreaches, s1.sloBreaches);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
+#include <tuple>
+
 #include "common/Rng.hh"
 #include "oram/Stash.hh"
 
@@ -239,4 +245,218 @@ TEST(Stash, PlanEvictionConsumptionMatchesShrinkingStash)
                 stash.remove(a);
         }
     }
+}
+
+namespace {
+
+/** Mutable hotness oracle; the test calls invalidateHotness() after
+ *  every change, as the controller does after onLlcMiss. */
+class FakeHotness : public DuplicationPolicy
+{
+  public:
+    std::optional<ShadowChoice>
+    selectShadow(unsigned) override
+    {
+        return std::nullopt;
+    }
+
+    std::uint32_t
+    hotnessOf(Addr addr) const override
+    {
+        return hot[addr];
+    }
+
+    std::vector<std::uint32_t> hot = std::vector<std::uint32_t>(64, 0);
+};
+
+/**
+ * Reference oracle: the stash as a plain map with the linear
+ * displacement scan — evict the shadow with the minimum (hotness,
+ * seq), re-reading every shadow's hotness on every displacement.
+ */
+struct ScanStash
+{
+    struct Item
+    {
+        BlockType type;
+        std::uint64_t seq;
+    };
+
+    unsigned capacity;
+    const FakeHotness *oracle;
+    std::uint64_t nextSeq = 0;
+    std::map<Addr, Item> items;
+
+    /** Insert with the merge rules; returns the number displaced. */
+    unsigned
+    insert(Addr addr, BlockType type)
+    {
+        const std::uint64_t seq = nextSeq++;
+        auto it = items.find(addr);
+        if (it != items.end()) {
+            if (type == BlockType::Real)
+                it->second = Item{type, seq};  // Real replaces shadow.
+            return 0;                          // Shadow merges away.
+        }
+        items[addr] = Item{type, seq};
+        unsigned displaced = 0;
+        while (items.size() > capacity) {
+            auto victim = items.end();
+            for (auto e = items.begin(); e != items.end(); ++e) {
+                if (e->second.type != BlockType::Shadow)
+                    continue;
+                if (victim == items.end() ||
+                    std::make_pair(oracle->hotnessOf(e->first),
+                                   e->second.seq) <
+                        std::make_pair(oracle->hotnessOf(victim->first),
+                                       victim->second.seq))
+                    victim = e;
+            }
+            if (victim == items.end())
+                break;
+            items.erase(victim);
+            ++displaced;
+        }
+        return displaced;
+    }
+};
+
+/** (addr, type, seq) of every entry, sorted by address; also checks
+ *  that forEach visits in seq order. */
+std::vector<std::tuple<Addr, BlockType, std::uint64_t>>
+contents(const Stash &stash)
+{
+    std::vector<std::tuple<Addr, BlockType, std::uint64_t>> v;
+    std::uint64_t lastSeq = 0;
+    stash.forEach([&](const StashEntry &e) {
+        EXPECT_TRUE(v.empty() || e.seq > lastSeq) << "seq order";
+        lastSeq = e.seq;
+        v.emplace_back(e.addr, e.type, e.seq);
+    });
+    std::sort(v.begin(), v.end());
+    return v;
+}
+
+std::vector<std::tuple<Addr, BlockType, std::uint64_t>>
+contents(const ScanStash &ref)
+{
+    std::vector<std::tuple<Addr, BlockType, std::uint64_t>> v;
+    for (const auto &[addr, item] : ref.items)
+        v.emplace_back(addr, item.type, item.seq);
+    return v;
+}
+
+std::vector<std::uint8_t>
+saveBytes(const Stash &stash)
+{
+    ckpt::Serializer out;
+    stash.saveState(out);
+    return out.take();
+}
+
+void
+loadBytes(Stash &stash, const std::vector<std::uint8_t> &bytes)
+{
+    ckpt::Deserializer in(bytes.data(), bytes.size());
+    stash.loadState(in);
+}
+
+} // namespace
+
+TEST(Stash, DisplacementMatchesScanMinReference)
+{
+    // Random insert / remove / dropShadowOf / real-replaces-shadow /
+    // save-restore sequences against a mutable hotness oracle with
+    // few distinct values (many ties broken by seq).  After every
+    // operation the stash must hold exactly what the linear-scan
+    // reference holds, so every displacement victim is the full
+    // (hotness, seq) scan-min.
+    const unsigned capacity = 16;
+    const Addr addrs = 64;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        FakeHotness oracle;
+        auto stash = std::make_unique<Stash>(capacity);
+        stash->setHotnessOracle(&oracle);
+        ScanStash ref{capacity, &oracle, 0, {}};
+        std::vector<std::uint8_t> snap = saveBytes(*stash);
+        ScanStash refSnap = ref;
+        std::uint64_t displacements = 0;
+
+        for (int step = 0; step < 6000; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            const Addr addr = rng.below(addrs);
+            const StashEntry *cur = stash->find(addr);
+            const std::uint64_t op = rng.below(100);
+            if (op < 40) {
+                // A shadow, or a real block where no real copy is
+                // resident (possibly replacing a shadow).
+                const BlockType type =
+                    (cur && cur->type == BlockType::Real) ||
+                            rng.chance(0.7)
+                        ? BlockType::Shadow
+                        : BlockType::Real;
+                stash->insert(entry(addr, type));
+                displacements += ref.insert(addr, type);
+            } else if (op < 55) {
+                if (cur) {
+                    stash->remove(addr);
+                    ref.items.erase(addr);
+                }
+            } else if (op < 65) {
+                stash->dropShadowOf(addr);
+                auto it = ref.items.find(addr);
+                if (it != ref.items.end() &&
+                    it->second.type == BlockType::Shadow)
+                    ref.items.erase(it);
+            } else if (op < 90) {
+                oracle.hot[addr] =
+                    static_cast<std::uint32_t>(rng.below(4));
+                stash->invalidateHotness();
+            } else if (op < 94) {
+                snap = saveBytes(*stash);
+                refSnap = ref;
+            } else if (op < 97) {
+                // Rollback onto the live stash; the oracle keeps its
+                // current values (loadState marks the cache stale).
+                oracle.hot[addr] =
+                    static_cast<std::uint32_t>(rng.below(4));
+                loadBytes(*stash, snap);
+                ref = refSnap;
+            } else {
+                // Restore into a fresh stash (checkpoint resume).
+                auto fresh = std::make_unique<Stash>(capacity);
+                fresh->setHotnessOracle(&oracle);
+                loadBytes(*fresh, saveBytes(*stash));
+                stash = std::move(fresh);
+            }
+            ASSERT_EQ(contents(*stash), contents(ref));
+            ASSERT_EQ(stash->inserts(), ref.nextSeq);
+        }
+        EXPECT_GT(displacements, 500u);
+    }
+}
+
+TEST(Stash, LoadRejectsEntriesOutOfSeqOrder)
+{
+    // A snapshot lists entries in seq order; the stash's entry list
+    // relies on it, so a reordered list is a mismatch, not a stash.
+    ckpt::Serializer out;
+    out.u64(10);  // next seq
+    out.u64(0);   // real count
+    for (int i = 0; i < 4; ++i)
+        out.u64(0);  // stats
+    out.u64(2);
+    for (std::uint64_t seq : {5u, 3u}) {
+        out.u64(seq);  // addr
+        out.u64(0);    // leaf
+        out.u32(0);    // version
+        out.u8(static_cast<std::uint8_t>(BlockType::Shadow));
+        out.u64(seq);
+        out.vecU64({});
+    }
+    const std::vector<std::uint8_t> bytes = out.take();
+    Stash stash(8);
+    EXPECT_THROW(loadBytes(stash, bytes), CkptMismatchError);
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "OramTestUtil.hh"
 #include "common/Rng.hh"
+#include "workload/SpecProfiles.hh"
+#include "workload/Workload.hh"
 
 using namespace sboram;
 using namespace sboram::test;
@@ -258,4 +262,101 @@ TEST(TinyOram, StashNeverOverflowsUnderRandomLoad)
     EXPECT_EQ(fx.oram.stash().stats().overflowEvents, 0u);
     EXPECT_LT(fx.oram.stash().stats().peakReal,
               smallConfig().stashCapacity);
+}
+
+namespace {
+
+/** Forwards every hook to a ShadowPolicy and counts hotnessOf. */
+class HotnessCountingPolicy final : public DuplicationPolicy
+{
+  public:
+    explicit HotnessCountingPolicy(std::unique_ptr<ShadowPolicy> inner)
+        : _inner(std::move(inner))
+    {
+    }
+
+    void beginPathWrite(LeafLabel leaf) override
+    {
+        _inner->beginPathWrite(leaf);
+    }
+    void onBlockPlaced(const PlacedBlock &placed) override
+    {
+        _inner->onBlockPlaced(placed);
+    }
+    void
+    offerStashShadow(Addr addr, LeafLabel leaf, std::uint32_t version,
+                     unsigned rearLevel, unsigned maxLevel) override
+    {
+        _inner->offerStashShadow(addr, leaf, version, rearLevel,
+                                 maxLevel);
+    }
+    std::optional<ShadowChoice> selectShadow(unsigned level) override
+    {
+        return _inner->selectShadow(level);
+    }
+    void endPathWrite() override { _inner->endPathWrite(); }
+    void onLlcMiss(Addr addr) override { _inner->onLlcMiss(addr); }
+    void onRequestClassified(bool wasDummy) override
+    {
+        _inner->onRequestClassified(wasDummy);
+    }
+    unsigned partitionLevel() const override
+    {
+        return _inner->partitionLevel();
+    }
+    std::uint32_t
+    hotnessOf(Addr addr) const override
+    {
+        ++lookups;
+        return _inner->hotnessOf(addr);
+    }
+
+    mutable std::uint64_t lookups = 0;
+
+  private:
+    std::unique_ptr<ShadowPolicy> _inner;
+};
+
+} // namespace
+
+TEST(TinyOram, HotnessLookupsPerAccessStayBelowCapacityPlusInserts)
+{
+    // Deterministic op-count ceiling for LFU shadow displacement:
+    // one access may re-read each resident shadow's hotness once
+    // (after its LLC miss moved the counters) plus once per block it
+    // inserts into the stash — not once per shadow per displacement.
+    OramConfig cfg;
+    cfg.dataBlocks = std::uint64_t(1) << 16;
+    cfg.posMapMode = PosMapMode::OnChip;
+    cfg.payloadEnabled = true;
+    cfg.stashCapacity = 200;
+    const unsigned leafLevel = cfg.deriveLevels();
+    auto counting = std::make_unique<HotnessCountingPolicy>(
+        std::make_unique<ShadowPolicy>(ShadowConfig{}, leafLevel));
+    HotnessCountingPolicy &policy = *counting;
+    OramFixture fx(cfg, std::move(counting));
+
+    WorkloadGenerator gen(specProfile("mcf"), 12345);
+    std::uint64_t worstExcess = 0, worstAccess = 0;
+    Cycles t = 0;
+    const std::vector<LlcMissRecord> trace = gen.generate(3000);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const LlcMissRecord &rec = trace[i];
+        const std::uint64_t lookups0 = policy.lookups;
+        const std::uint64_t inserts0 = fx.oram.stash().inserts();
+        t = fx.oram
+                .access(rec.addr % cfg.dataBlocks,
+                        rec.isWrite ? Op::Write : Op::Read, t + 100)
+                .completeAt;
+        const std::uint64_t calls = policy.lookups - lookups0;
+        const std::uint64_t ceiling =
+            cfg.stashCapacity + (fx.oram.stash().inserts() - inserts0);
+        if (calls > ceiling && calls - ceiling > worstExcess) {
+            worstExcess = calls - ceiling;
+            worstAccess = i;
+        }
+    }
+    // The displacement path must actually have run.
+    EXPECT_GT(policy.lookups, trace.size());
+    EXPECT_EQ(worstExcess, 0u) << "access " << worstAccess;
 }
