@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "oram/TinyOram.hh"
 #include "shadow/DupQueues.hh"
 #include "shadow/ShadowPolicy.hh"
+#include "sim/OramStack.hh"
 #include "workload/SpecProfiles.hh"
 
 using namespace sboram;
@@ -223,10 +223,8 @@ BM_OramAccess(benchmark::State &state)
     OramConfig cfg;
     cfg.dataBlocks = 1 << 14;
     cfg.posMapMode = PosMapMode::OnChip;
-    DramModel dram(DramTiming::ddr3_1333(), DramGeometry{});
-    auto policy = std::make_unique<ShadowPolicy>(
-        ShadowConfig{}, cfg.deriveLevels());
-    TinyOram oram(cfg, dram, std::move(policy));
+    OramStack stack(Scheme::Shadow, cfg);
+    TinyOram &oram = stack.oram();
     Rng rng(6);
     Cycles t = 0;
     for (auto _ : state) {

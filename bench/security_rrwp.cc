@@ -8,15 +8,12 @@
  */
 
 #include <cmath>
-#include <memory>
 #include <utility>
 
 #include "BenchUtil.hh"
-#include "mem/DramModel.hh"
-#include "oram/TinyOram.hh"
 #include "security/Distinguisher.hh"
 #include "security/TraceRecorder.hh"
-#include "shadow/ShadowPolicy.hh"
+#include "sim/OramStack.hh"
 
 using namespace sboram;
 using namespace sboram::bench;
@@ -37,10 +34,8 @@ observe(const std::vector<Addr> &addrs, std::uint64_t seed)
     cfg.dataBlocks = 1 << 14;
     cfg.posMapMode = PosMapMode::OnChip;
     cfg.seed = seed;
-    DramModel dram(DramTiming::ddr3_1333(), DramGeometry{});
-    auto policy = std::make_unique<ShadowPolicy>(
-        ShadowConfig{}, cfg.deriveLevels());
-    TinyOram oram(cfg, dram, std::move(policy));
+    OramStack stack(Scheme::Shadow, cfg);
+    TinyOram &oram = stack.oram();
     TraceRecorder rec;
     oram.setTraceSink(&rec);
 

@@ -13,9 +13,7 @@
 #include <algorithm>
 
 #include "BenchUtil.hh"
-#include "mem/DramModel.hh"
-#include "oram/TinyOram.hh"
-#include "shadow/ShadowPolicy.hh"
+#include "sim/OramStack.hh"
 
 using namespace sboram;
 using namespace sboram::bench;
@@ -49,13 +47,8 @@ drive(bool shadow, std::uint64_t seed, std::uint64_t accesses)
     cfg.seed = seed;
     cfg.serveFromShadow = false;  // Identical request streams.
 
-    DramModel dram(DramTiming::ddr3_1333(), DramGeometry{});
-    std::unique_ptr<DuplicationPolicy> policy;
-    if (shadow) {
-        policy = std::make_unique<ShadowPolicy>(
-            ShadowConfig{}, cfg.deriveLevels());
-    }
-    TinyOram oram(cfg, dram, std::move(policy));
+    OramStack stack(shadow ? Scheme::Shadow : Scheme::Tiny, cfg);
+    TinyOram &oram = stack.oram();
 
     Rng rng(seed * 77 + 1);
     OccupancySample out;

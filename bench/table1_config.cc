@@ -10,8 +10,7 @@
 #include <cstdio>
 
 #include "BenchUtil.hh"
-#include "mem/DramModel.hh"
-#include "oram/TinyOram.hh"
+#include "sim/OramStack.hh"
 
 using namespace sboram;
 using namespace sboram::bench;
@@ -72,8 +71,8 @@ runBench()
     geo.print();
 
     // Measured path latency at the simulated scale.
-    DramModel dram(DramTiming::ddr3_1333(), DramGeometry{});
-    TinyOram oram(scaled, dram);
+    OramStack stack(Scheme::Tiny, scaled);
+    TinyOram &oram = stack.oram();
     const Cycles pathLat = oram.estimatePathReadLatency();
 
     Table derived("Measured platform characteristics");

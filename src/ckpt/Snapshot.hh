@@ -39,7 +39,10 @@
 namespace sboram {
 namespace ckpt {
 
-/** Current snapshot format version.  Version 5: histograms gained a
+/** Current snapshot format version.  Version 6: histograms are
+ *  log2-only and dropped the binning-kind tag and bin width from
+ *  their serialized form, and RunMetrics (.done markers) dropped the
+ *  never-assigned avgForwardLevel.  Version 5: histograms gained a
  *  binning-kind tag in their serialized form and the new
  *  kSectionReqObs carries the request-observability state (timeline
  *  pool, stage accumulator, exemplar reservoir, SLO monitor, flight
@@ -50,9 +53,11 @@ namespace ckpt {
  *  the tier-3 reseed generation and resilience counters.  Old
  *  snapshots are rejected with CkptVersionError before any state is
  *  mutated and fall back per the existing recovery tiers. */
-constexpr std::uint32_t kSnapshotVersion = 5;
+constexpr std::uint32_t kSnapshotVersion = 6;
 
-/** Well-known section ids used by sim/System and friends. */
+/** Well-known section ids.  kSectionOram, kSectionPolicy and
+ *  kSectionDram are written and read by sim/OramStack for both
+ *  drivers. */
 enum SectionId : std::uint32_t
 {
     kSectionCpu = 1,      ///< CpuCursor (trace position + core state).

@@ -113,6 +113,26 @@ FlightRecorder::renderJson(const std::string &label) const
 }
 
 void
+FlightRecorder::publishFatal(const std::string &label) const
+{
+    const std::string dump = renderJson(label);
+    publishFlightDump(label, dump);
+    notePanicFlight(dump);
+}
+
+std::string
+flightLabel(const std::string &configured, const char *prefix,
+            std::uint64_t fingerprint)
+{
+    if (!configured.empty())
+        return configured;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%s-%016llx", prefix,
+                  static_cast<unsigned long long>(fingerprint));
+    return buf;
+}
+
+void
 FlightRecorder::saveState(ckpt::Serializer &out) const
 {
     out.u64(_ring.size());

@@ -108,6 +108,10 @@ class FlightRecorder
     /** One strict-JSON dump object (label, totals, event list). */
     std::string renderJson(const std::string &label) const;
 
+    /** Hand the ring to the panic path ahead of a fatal rethrow:
+     *  publish the rendered dump and store it in the panic slot. */
+    void publishFatal(const std::string &label) const;
+
     void saveState(ckpt::Serializer &out) const;
     void loadState(ckpt::Deserializer &in);
 
@@ -115,6 +119,12 @@ class FlightRecorder
     std::vector<FlightEvent> _ring;
     std::uint64_t _total = 0;
 };
+
+/** Dump label of a run: @p configured when set, else
+ *  "<prefix>-<fingerprint as 16 hex digits>", stable across
+ *  processes. */
+std::string flightLabel(const std::string &configured,
+                        const char *prefix, std::uint64_t fingerprint);
 
 // --- Process-wide dump registry and panic forensics ------------------
 

@@ -36,23 +36,12 @@ MetricRegistry::gauge(const char *name, std::function<double()> fn)
 }
 
 HistogramSink &
-MetricRegistry::histogram(const char *name, std::size_t bins,
-                          double width)
-{
-    for (auto &h : _histograms)
-        if (h.name == name)
-            return h.item;
-    _histograms.push_back({name, HistogramSink(bins, width)});
-    return _histograms.back().item;
-}
-
-HistogramSink &
 MetricRegistry::histogramLog2(const char *name, std::size_t bins)
 {
     for (auto &h : _histograms)
         if (h.name == name)
             return h.item;
-    _histograms.push_back({name, HistogramSink::makeLog2(bins)});
+    _histograms.push_back({name, HistogramSink(bins)});
     return _histograms.back().item;
 }
 
@@ -126,7 +115,7 @@ MetricRegistry::loadState(ckpt::Deserializer &in)
     const std::uint64_t histograms = in.u64();
     for (std::uint64_t i = 0; i < histograms; ++i) {
         const std::string name = in.str();
-        HistogramSink scratch(1, 1.0);
+        HistogramSink scratch(1);
         scratch.loadState(in);
         for (auto &h : _histograms) {
             if (h.name == name) {
@@ -165,11 +154,10 @@ IntervalSampler::renderJsonl() const
         out += "}\n";
     }
     for (const auto &h : _registry.histograms()) {
-        const bool log2 =
-            h.sink->kind() == HistogramSink::Kind::Log2;
-        out += "{\"histogram\": \"" + h.name + "\", \"kind\": \"" +
-               (log2 ? "log2" : "linear") + "\", \"bin_width\": " +
-               formatDouble(h.sink->binWidth()) +
+        // Constant "kind"/"bin_width" keys keep the footer schema
+        // stable for artifact readers.
+        out += "{\"histogram\": \"" + h.name +
+               "\", \"kind\": \"log2\", \"bin_width\": 1"
                ", \"samples\": " + std::to_string(h.sink->samples()) +
                ", \"counts\": [";
         const auto &counts = h.sink->counts();

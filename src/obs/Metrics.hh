@@ -38,7 +38,7 @@ struct Counter
     void add(std::uint64_t delta = 1) { value += delta; }
 };
 
-/** Sub-buckets per octave of the Log2 (HDR-style) histogram kind: a
+/** Sub-buckets per octave of the log2 (HDR-style) histogram: a
  *  power of two, giving a fixed <= 12.5% relative bin width at any
  *  magnitude. */
 inline constexpr std::size_t kLog2SubBuckets = 8;
@@ -50,46 +50,23 @@ inline constexpr std::size_t kLog2SubBuckets = 8;
 inline constexpr std::size_t kDefaultLog2Bins = 192;
 
 /**
- * Fixed-capacity histogram with an overflow bin.  Two binning kinds:
- *  - Linear: bin i covers [i*width, (i+1)*width) — the PR 5 layout;
- *  - Log2: HDR-style log-bucketed bins, kLog2SubBuckets per octave,
- *    exact integer boundaries (values are virtual cycles), so tail
- *    percentile bins stay ~12.5% wide at any latency magnitude.
- * The serialized form leads with a kind tag; snapshot version 5 gates
- * the format change (older snapshots are rejected before any state
- * mutates and the run replays from scratch).
+ * Fixed-capacity HDR-style histogram: log-bucketed bins,
+ * kLog2SubBuckets per octave, exact integer boundaries (values are
+ * virtual cycles), so tail percentile bins stay ~12.5% wide at any
+ * latency magnitude.  Values at or above the top boundary land in the
+ * last bin; counts() carries one further, always-empty overflow slot
+ * that keeps the artifact footer's column count.
  */
 class HistogramSink
 {
   public:
-    enum class Kind : std::uint8_t { Linear = 0, Log2 = 1 };
-
-    HistogramSink(std::size_t bins, double width)
-        : _width(width <= 0.0 ? 1.0 : width), _counts(bins + 1, 0) {}
-
-    /** Log2-binned sink with @p bins bins plus overflow. */
-    static HistogramSink
-    makeLog2(std::size_t bins)
-    {
-        HistogramSink h(bins, 1.0);
-        h._kind = Kind::Log2;
-        return h;
-    }
+    explicit HistogramSink(std::size_t bins) : _counts(bins + 1, 0) {}
 
     void
     sample(double v)
     {
-        std::size_t bin;
-        if (_kind == Kind::Log2) {
-            bin = log2BinOf(
-                v < 0 ? 0 : static_cast<std::uint64_t>(v),
-                _counts.size() - 1);
-        } else {
-            bin = v < 0 ? 0 : static_cast<std::size_t>(v / _width);
-        }
-        if (bin >= _counts.size() - 1)
-            bin = _counts.size() - 1;
-        ++_counts[bin];
+        ++_counts[log2BinOf(v < 0 ? 0 : static_cast<std::uint64_t>(v),
+                            _counts.size() - 1)];
         ++_n;
     }
 
@@ -139,16 +116,12 @@ class HistogramSink
         hi = lo + (std::uint64_t(1) << (octave - 1));
     }
 
-    Kind kind() const { return _kind; }
     const std::vector<std::uint64_t> &counts() const { return _counts; }
     std::uint64_t samples() const { return _n; }
-    double binWidth() const { return _width; }
 
     void
     saveState(ckpt::Serializer &out) const
     {
-        out.u8(static_cast<std::uint8_t>(_kind));
-        out.f64(_width);
         out.u64(_n);
         out.vecU64(_counts);
     }
@@ -156,15 +129,11 @@ class HistogramSink
     void
     loadState(ckpt::Deserializer &in)
     {
-        _kind = static_cast<Kind>(in.u8());
-        _width = in.f64();
         _n = in.u64();
         _counts = in.vecU64();
     }
 
   private:
-    Kind _kind = Kind::Linear;
-    double _width;
     std::vector<std::uint64_t> _counts;
     std::uint64_t _n = 0;
 };
@@ -182,10 +151,6 @@ class MetricRegistry
 
     /** Register a polled gauge.  Re-registering replaces the fn. */
     void gauge(const char *name, std::function<double()> fn);
-
-    /** Histogram under @p name (created on first use). */
-    HistogramSink &histogram(const char *name, std::size_t bins,
-                             double width);
 
     /** Log2-binned histogram under @p name (created on first use). */
     HistogramSink &histogramLog2(const char *name, std::size_t bins);

@@ -238,8 +238,8 @@ class TinyOram
      * Checkpoint the whole controller (tree, stash, position map,
      * PLB, RNG/nonce state, counters, eviction buffers, fault-
      * injector cursor) at an access boundary.  The duplication
-     * policy's own state is checkpointed separately by the system
-     * layer, which knows its concrete type.
+     * policy's own state is checkpointed separately by
+     * sim/OramStack, which knows its concrete type.
      */
     void saveState(ckpt::Serializer &out) const;
     /** Restore a controller built from the identical OramConfig. */

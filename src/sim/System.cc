@@ -1,7 +1,6 @@
 #include "System.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <memory>
 
@@ -210,7 +209,6 @@ runSystem(const SystemConfig &cfg,
         rec.addr %= cfg.oram.dataBlocks;
 
     RunMetrics m;
-    DramModel dram(cfg.dramTiming, cfg.dramGeometry);
     EnergyModel energy(DramEnergy{}, cfg.dramGeometry.channels);
 
     // Observability hub: null unless the config opts in, so every
@@ -329,6 +327,7 @@ runSystem(const SystemConfig &cfg,
     };
 
     if (cfg.scheme == Scheme::Insecure) {
+        DramModel dram(cfg.dramTiming, cfg.dramGeometry);
         InsecureMemory mem(dram);
         InsecurePort port(mem);
         if (obsPtr != nullptr) {
@@ -384,31 +383,17 @@ runSystem(const SystemConfig &cfg,
         return m;
     }
 
-    std::unique_ptr<DuplicationPolicy> policy;
-    ShadowPolicy *shadowPolicy = nullptr;
-    if (cfg.scheme == Scheme::Shadow) {
-        const unsigned leafLevel = cfg.oram.deriveLevels();
-        auto sp = std::make_unique<ShadowPolicy>(cfg.shadow,
-                                                 leafLevel);
-        shadowPolicy = sp.get();
-        policy = std::move(sp);
-    }
-
-    TinyOram oram(cfg.oram, dram, std::move(policy));
+    OramStack stack(cfg.scheme, cfg.oram, cfg.shadow, cfg.dramTiming,
+                    cfg.dramGeometry);
+    TinyOram &oram = stack.oram();
+    ShadowPolicy *shadowPolicy = stack.shadowPolicy();
 
     // Always-on flight recorder for the recovery ladder: quarantines
     // and degraded transitions from the controller, rollbacks and
     // corruption rethrows from the tier-3 loop below.
-    obs::FlightRecorder flight;
-    std::string flightLabel = cfg.obs.label;
-    if (flightLabel.empty()) {
-        char labelBuf[24];
-        std::snprintf(labelBuf, sizeof(labelBuf), "sys-%016llx",
-                      static_cast<unsigned long long>(
-                          configFingerprint(cfg)));
-        flightLabel = labelBuf;
-    }
-    oram.setFlightRecorder(&flight);
+    obs::FlightRecorder &flight = stack.flight();
+    const std::string flightLabel =
+        obs::flightLabel(cfg.obs.label, "sys", configFingerprint(cfg));
 
     Cycles interval = cfg.tpInterval;
     if (cfg.timingProtection && interval == 0) {
@@ -512,10 +497,7 @@ runSystem(const SystemConfig &cfg,
     auto saveAll = [&](ckpt::SnapshotWriter &w) {
         cursor.saveState(w.section(ckpt::kSectionCpu));
         port.saveState(w.section(ckpt::kSectionPort));
-        oram.saveState(w.section(ckpt::kSectionOram));
-        if (shadowPolicy != nullptr)
-            shadowPolicy->saveState(w.section(ckpt::kSectionPolicy));
-        dram.saveState(w.section(ckpt::kSectionDram));
+        stack.save(w);
         ckpt::Serializer &met = w.section(ckpt::kSectionMetrics);
         met.u64(m.rollbacks);
         met.u64(m.replayedAccesses);
@@ -529,24 +511,15 @@ runSystem(const SystemConfig &cfg,
         // is rejected before any state mutates.
         auto dCpu = reader.section(ckpt::kSectionCpu);
         auto dPort = reader.section(ckpt::kSectionPort);
-        auto dOram = reader.section(ckpt::kSectionOram);
-        auto dDram = reader.section(ckpt::kSectionDram);
         auto dMet = reader.section(ckpt::kSectionMetrics);
-        if (shadowPolicy != nullptr) {
-            auto dPol = reader.section(ckpt::kSectionPolicy);
-            shadowPolicy->loadState(dPol);
-        }
+        auto dReq = reader.section(ckpt::kSectionReqObs);
+        stack.restore(reader);
         cursor.loadState(dCpu);
         port.loadState(dPort);
-        oram.loadState(dOram);
-        dram.loadState(dDram);
         m.rollbacks = dMet.u64();
         m.replayedAccesses = dMet.u64();
         m.missRetireTimes = dMet.vecU64();
-        if (reader.hasSection(ckpt::kSectionReqObs)) {
-            auto dReq = reader.section(ckpt::kSectionReqObs);
-            flight.loadState(dReq);
-        }
+        flight.loadState(dReq);
         if (obsPtr != nullptr &&
             reader.hasSection(ckpt::kSectionObs)) {
             auto dObs = reader.section(ckpt::kSectionObs);
@@ -614,10 +587,7 @@ runSystem(const SystemConfig &cfg,
                 rollbacksUsed >= cfg.maxAutoRollbacks) {
                 // Fatal: hand the ring to the panic path before the
                 // rethrow unwinds this frame.
-                const std::string dump =
-                    flight.renderJson(flightLabel);
-                obs::publishFlightDump(flightLabel, dump);
-                obs::notePanicFlight(dump);
+                flight.publishFatal(flightLabel);
                 throw;
             }
             const std::uint64_t failedAt = cursor.accessesDone;
@@ -633,10 +603,7 @@ runSystem(const SystemConfig &cfg,
                 reader = session->loadLatest();
             if (!reader) {
                 if (pristineImage.empty()) {
-                    const std::string dump =
-                        flight.renderJson(flightLabel);
-                    obs::publishFlightDump(flightLabel, dump);
-                    obs::notePanicFlight(dump);
+                    flight.publishFatal(flightLabel);
                     throw;
                 }
                 reader = std::make_unique<ckpt::SnapshotReader>(
@@ -684,7 +651,7 @@ runSystem(const SystemConfig &cfg,
         ? static_cast<double>(os.onChipHits) /
           static_cast<double>(os.requests)
         : 0.0;
-    m.energy = energy.totalEnergy(dram.stats(), m.execTime);
+    m.energy = energy.totalEnergy(stack.dram().stats(), m.execTime);
     m.stashPeakReal = oram.stash().stats().peakReal;
     m.stashOverflows = oram.stash().stats().overflowEvents;
     m.faultsInjected = os.faultsInjected;
@@ -825,7 +792,6 @@ saveRunMetrics(ckpt::Serializer &out, const RunMetrics &m)
     out.f64(m.energy);
     out.u64(m.stashPeakReal);
     out.u64(m.stashOverflows);
-    out.f64(m.avgForwardLevel);
     out.u32(m.finalPartitionLevel);
     out.u64(m.faultsInjected);
     out.u64(m.faultsDetected);
@@ -859,7 +825,6 @@ loadRunMetrics(ckpt::Deserializer &in)
     m.energy = in.f64();
     m.stashPeakReal = in.u64();
     m.stashOverflows = in.u64();
-    m.avgForwardLevel = in.f64();
     m.finalPartitionLevel = in.u32();
     m.faultsInjected = in.u64();
     m.faultsDetected = in.u64();

@@ -28,17 +28,10 @@
 #include "oram/Stash.hh"
 #include "oram/TinyOram.hh"
 #include "shadow/ShadowPolicy.hh"
+#include "sim/OramStack.hh"
 #include "workload/Workload.hh"
 
 namespace sboram {
-
-/** Which memory system backs the CPU. */
-enum class Scheme : std::uint8_t
-{
-    Insecure,  ///< Plain DRAM, no protection.
-    Tiny,      ///< Tiny ORAM baseline.
-    Shadow,    ///< Tiny ORAM + Shadow Block duplication.
-};
 
 /** Which CPU front-end issues the trace. */
 enum class CpuKind : std::uint8_t { InOrder, OutOfOrder };
@@ -131,7 +124,6 @@ struct RunMetrics
     PicoJoules energy = 0.0;     ///< Fig. 12.
     std::uint64_t stashPeakReal = 0;
     std::uint64_t stashOverflows = 0;
-    double avgForwardLevel = 0.0;
     unsigned finalPartitionLevel = 0;
     /** Fault-injection accounting (zero when injection is off). */
     std::uint64_t faultsInjected = 0;

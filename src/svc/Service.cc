@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include <cstdio>
-
 #include "common/Errors.hh"
 #include "common/Logging.hh"
 #include "crypto/Prf.hh"
@@ -13,6 +11,7 @@
 #include "obs/Metrics.hh"
 #include "obs/Observer.hh"
 #include "obs/Trace.hh"
+#include "sim/OramStack.hh"
 
 namespace sboram {
 namespace svc {
@@ -48,20 +47,6 @@ retryBackoff(const ServiceConfig &cfg, std::uint64_t seq,
     return (base << shift) + prf64(key, seq, attempt) % base;
 }
 
-/** Flight/exemplar artifact label: the configured obs label when one
- *  is set, else the config fingerprint — stable across processes. */
-std::string
-flightLabelOf(const ServiceConfig &cfg)
-{
-    if (!cfg.obs.label.empty())
-        return cfg.obs.label;
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "svc-%016llx",
-                  static_cast<unsigned long long>(
-                      serviceConfigFingerprint(cfg)));
-    return buf;
-}
-
 /** Exemplars kept per log2 latency bin. */
 constexpr std::size_t kExemplarsPerBin = 4;
 
@@ -71,8 +56,7 @@ constexpr std::size_t kExemplarsPerBin = 4;
 struct ServicePipeline::Impl
 {
     ServiceConfig cfg;
-    DramModel dram;
-    ShadowPolicy *shadowPolicy = nullptr;  ///< Owned by the oram.
+    OramStack stack;
     ArrivalGenerator gen;
 
     /** Injected arrival list (test seam); empty = use the generator. */
@@ -84,7 +68,10 @@ struct ServicePipeline::Impl
     ServiceArtifacts artifacts;
 
     explicit Impl(const ServiceConfig &c)
-        : cfg(c), dram(c.dramTiming, c.dramGeometry), gen(c.arrivals)
+        : cfg(c),
+          stack(c.scheme, c.oram, c.shadow, c.dramTiming,
+                c.dramGeometry),
+          gen(c.arrivals)
     {
     }
 };
@@ -92,8 +79,6 @@ struct ServicePipeline::Impl
 ServicePipeline::ServicePipeline(const ServiceConfig &cfg)
     : _impl(std::make_unique<Impl>(cfg))
 {
-    SB_ASSERT(cfg.scheme != Scheme::Insecure,
-              "the service layer fronts an ORAM controller");
     SB_ASSERT(cfg.queueCapacity > 0, "queueCapacity must be positive");
     if (cfg.queueHighWatermark != 0)
         SB_ASSERT(cfg.queueLowWatermark < cfg.queueHighWatermark &&
@@ -108,16 +93,6 @@ ServicePipeline::ServicePipeline(const ServiceConfig &cfg)
     SB_ASSERT(cfg.deadline > 0, "deadline must be positive");
     SB_ASSERT(cfg.arrivals.addressBlocks <= cfg.oram.dataBlocks,
               "arrival address space exceeds the ORAM data space");
-
-    std::unique_ptr<DuplicationPolicy> policy;
-    if (cfg.scheme == Scheme::Shadow) {
-        auto sp = std::make_unique<ShadowPolicy>(
-            cfg.shadow, cfg.oram.deriveLevels());
-        _impl->shadowPolicy = sp.get();
-        policy = std::move(sp);
-    }
-    _oram = std::make_unique<TinyOram>(cfg.oram, _impl->dram,
-                                       std::move(policy));
 }
 
 ServicePipeline::~ServicePipeline() = default;
@@ -125,7 +100,13 @@ ServicePipeline::~ServicePipeline() = default;
 void
 ServicePipeline::setTraceSink(TraceSink *sink)
 {
-    _oram->setTraceSink(sink);
+    _impl->stack.oram().setTraceSink(sink);
+}
+
+const TinyOram &
+ServicePipeline::oram() const
+{
+    return _impl->stack.oram();
 }
 
 void
@@ -144,7 +125,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
               "checkpointing is unsupported with injected arrivals");
 
     const ServiceConfig &cfg = _impl->cfg;
-    TinyOram &oram = *_oram;
+    OramStack &stack = _impl->stack;
+    TinyOram &oram = stack.oram();
     const std::uint64_t total =
         _impl->useInjected
             ? static_cast<std::uint64_t>(_impl->injected.size())
@@ -171,11 +153,11 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                cfg.arrivals.seed},
         kExemplarsPerBin, obs::kDefaultLog2Bins);
     obs::SloMonitor slo(cfg.slo);
-    obs::FlightRecorder flight;
-    const std::string flightLabel = flightLabelOf(cfg);
     // Recovery-ladder events (quarantines, degraded transitions) land
     // in the same ring as the scheduler's own control events.
-    oram.setFlightRecorder(&flight);
+    obs::FlightRecorder &flight = stack.flight();
+    const std::string flightLabel = obs::flightLabel(
+        cfg.obs.label, "svc", serviceConfigFingerprint(cfg));
 
     // One-record lookahead over the arrival source, so "is the next
     // arrival due" is a field compare instead of a generator call.
@@ -467,11 +449,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         exemplars.saveState(q);
         slo.saveState(q);
         flight.saveState(q);
-        oram.saveState(w.section(ckpt::kSectionOram));
-        if (_impl->shadowPolicy != nullptr)
-            _impl->shadowPolicy->saveState(
-                w.section(ckpt::kSectionPolicy));
-        _impl->dram.saveState(w.section(ckpt::kSectionDram));
+        stack.save(w);
         if (obsPtr != nullptr)
             obsPtr->saveState(w.section(ckpt::kSectionObs));
     };
@@ -480,12 +458,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         // is rejected before any state mutates.
         auto dSvc = reader.section(ckpt::kSectionSvc);
         auto dReq = reader.section(ckpt::kSectionReqObs);
-        auto dOram = reader.section(ckpt::kSectionOram);
-        auto dDram = reader.section(ckpt::kSectionDram);
-        if (_impl->shadowPolicy != nullptr) {
-            auto dPol = reader.section(ckpt::kSectionPolicy);
-            _impl->shadowPolicy->loadState(dPol);
-        }
+        stack.restore(reader);
         _impl->gen.loadState(dSvc);
         pendingValid = dSvc.u8() != 0;
         pending.arrival = dSvc.u64();
@@ -543,8 +516,6 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         slo.loadState(dReq);
         flight.loadState(dReq);
         obs::forensics().pressure.store(pressureOn ? 1 : 0);
-        oram.loadState(dOram);
-        _impl->dram.loadState(dDram);
         if (obsPtr != nullptr &&
             reader.hasSection(ckpt::kSectionObs)) {
             auto dObs = reader.section(ckpt::kSectionObs);
@@ -757,10 +728,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             if (idleIters > cfg.watchdogBound) {
                 flight.record(now, obs::FlightKind::WatchdogTrip,
                               queue.size(), idleIters);
-                const std::string dump =
-                    flight.renderJson(flightLabel);
-                obs::publishFlightDump(flightLabel, dump);
-                obs::notePanicFlight(dump);
+                flight.publishFatal(flightLabel);
                 throw ServiceStallError(
                     "no admission, completion or time advance for " +
                         std::to_string(idleIters) + " scheduler "

@@ -39,7 +39,6 @@
 
 #include "ckpt/Checkpoint.hh"
 #include "common/Types.hh"
-#include "mem/DramModel.hh"
 #include "mem/DramTiming.hh"
 #include "obs/ObsConfig.hh"
 #include "obs/RequestTrace.hh"
@@ -261,12 +260,11 @@ class ServicePipeline
     /** The artifacts of the completed run() (empty before it). */
     const ServiceArtifacts &artifacts() const;
 
-    const TinyOram &oram() const { return *_oram; }
+    const TinyOram &oram() const;
 
   private:
     struct Impl;
     std::unique_ptr<Impl> _impl;
-    std::unique_ptr<TinyOram> _oram;
     std::vector<ControlRecord> *_controlLog = nullptr;
 };
 

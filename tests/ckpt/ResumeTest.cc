@@ -18,6 +18,8 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include "../sim/SimTestUtil.hh"
+#include "../svc/ServiceTestUtil.hh"
 #include "ckpt/Checkpoint.hh"
 #include "common/Errors.hh"
 #include "common/Logging.hh"
@@ -25,6 +27,8 @@
 #include "svc/Service.hh"
 
 using namespace sboram;
+using sboram::test::expectSameMetrics;
+using sboram::test::expectSameServiceStats;
 
 namespace {
 
@@ -151,62 +155,44 @@ resumeMatrix()
     return matrix;
 }
 
+/**
+ * Run @p cfg with a snapshot every @p interval accesses until the
+ * interrupt seam fires after @p stopAt (final snapshot written),
+ * leaving both generations under @p dir.
+ */
 void
-expectSameMetrics(const RunMetrics &a, const RunMetrics &b)
+interruptAfter(SystemConfig cfg, const std::vector<LlcMissRecord> &trace,
+               const std::string &dir, std::uint64_t interval,
+               std::uint64_t stopAt)
 {
-    EXPECT_EQ(a.execTime, b.execTime);
-    EXPECT_EQ(a.dataAccessTime, b.dataAccessTime);
-    EXPECT_EQ(a.driTime, b.driTime);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.dummyRequests, b.dummyRequests);
-    EXPECT_EQ(a.stashHits, b.stashHits);
-    EXPECT_EQ(a.shadowStashHits, b.shadowStashHits);
-    EXPECT_EQ(a.shadowForwards, b.shadowForwards);
-    EXPECT_EQ(a.pathReads, b.pathReads);
-    EXPECT_EQ(a.shadowsWritten, b.shadowsWritten);
-    EXPECT_EQ(a.onChipHitRate, b.onChipHitRate);
-    EXPECT_EQ(a.energy, b.energy);
-    EXPECT_EQ(a.stashPeakReal, b.stashPeakReal);
-    EXPECT_EQ(a.stashOverflows, b.stashOverflows);
-    EXPECT_EQ(a.avgForwardLevel, b.avgForwardLevel);
-    EXPECT_EQ(a.finalPartitionLevel, b.finalPartitionLevel);
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-    EXPECT_EQ(a.faultsDetected, b.faultsDetected);
-    EXPECT_EQ(a.faultsRecovered, b.faultsRecovered);
-    EXPECT_EQ(a.faultsUnrecoverable, b.faultsUnrecoverable);
-    EXPECT_EQ(a.slotsQuarantined, b.slotsQuarantined);
-    EXPECT_EQ(a.quarantineEvacuations, b.quarantineEvacuations);
-    EXPECT_EQ(a.degradedEntries, b.degradedEntries);
-    EXPECT_EQ(a.degradedTicks, b.degradedTicks);
-    EXPECT_EQ(a.emergencyEvictions, b.emergencyEvictions);
-    EXPECT_EQ(a.rollbacks, b.rollbacks);
-    EXPECT_EQ(a.replayedAccesses, b.replayedAccesses);
-    EXPECT_EQ(a.missRetireTimes, b.missRetireTimes);
+    ckpt::CheckpointSession session(dir, configFingerprint(cfg));
+    cfg.checkpointInterval = interval;
+    cfg.interruptAfterAccesses = stopAt;
+    EXPECT_THROW(runSystem(cfg, trace, &session), InterruptedError);
 }
 
-/**
- * Interrupt @p cfg after @p stopAt accesses (final snapshot written),
- * then resume from the same directory and run to completion.
- */
+/** Resume @p cfg from the snapshots under @p dir and run it out. */
 RunMetrics
-interruptThenResume(const SystemConfig &cfg,
-                    const std::vector<LlcMissRecord> &trace,
-                    const std::string &dir, std::uint64_t interval,
-                    std::uint64_t stopAt)
+resumeFrom(SystemConfig cfg, const std::vector<LlcMissRecord> &trace,
+           const std::string &dir, std::uint64_t interval)
 {
-    const std::uint64_t key = configFingerprint(cfg);
+    ckpt::CheckpointSession session(dir, configFingerprint(cfg));
+    cfg.checkpointInterval = interval;
+    return runSystem(cfg, trace, &session);
+}
 
-    SystemConfig interrupted = cfg;
-    interrupted.checkpointInterval = interval;
-    interrupted.interruptAfterAccesses = stopAt;
-    ckpt::CheckpointSession first(dir, key);
-    EXPECT_THROW(runSystem(interrupted, trace, &first),
-                 InterruptedError);
-
-    SystemConfig resumed = cfg;
-    resumed.checkpointInterval = interval;
-    ckpt::CheckpointSession second(dir, key);
-    return runSystem(resumed, trace, &second);
+/** Path of the newer of the two snapshot generations. */
+std::string
+newestGeneration(const std::string &dir, std::uint64_t key)
+{
+    const std::string g0 = slotFile(dir, key, 0);
+    const std::string g1 = slotFile(dir, key, 1);
+    const std::uint64_t seq0 =
+        ckpt::SnapshotReader(ckpt::readFile(g0)).seq();
+    const std::uint64_t seq1 =
+        ckpt::SnapshotReader(ckpt::readFile(g1)).seq();
+    EXPECT_NE(seq0, seq1);
+    return seq0 > seq1 ? g0 : g1;
 }
 
 class CkptResume : public ::testing::Test
@@ -232,9 +218,8 @@ TEST_F(CkptResume, ResumedRunMatchesUninterruptedAcrossSchemes)
         const RunMetrics m0 = runSystem(point.cfg, trace);
 
         TempDir dir;
-        const RunMetrics m1 = interruptThenResume(
-            point.cfg, trace, dir.path(), 157, 450);
-        expectSameMetrics(m0, m1);
+        interruptAfter(point.cfg, trace, dir.path(), 157, 450);
+        expectSameMetrics(m0, resumeFrom(point.cfg, trace, dir.path(), 157));
     }
 }
 
@@ -246,20 +231,9 @@ TEST_F(CkptResume, SurvivesRepeatedInterruptions)
     const RunMetrics m0 = runSystem(cfg, trace);
 
     TempDir dir;
-    const std::uint64_t key = configFingerprint(cfg);
-    for (std::uint64_t stopAt : {300u, 700u, 1100u}) {
-        SystemConfig interrupted = cfg;
-        interrupted.checkpointInterval = 200;
-        interrupted.interruptAfterAccesses = stopAt;
-        ckpt::CheckpointSession session(dir.path(), key);
-        EXPECT_THROW(runSystem(interrupted, trace, &session),
-                     InterruptedError);
-    }
-
-    SystemConfig resumed = cfg;
-    resumed.checkpointInterval = 200;
-    ckpt::CheckpointSession last(dir.path(), key);
-    expectSameMetrics(m0, runSystem(resumed, trace, &last));
+    for (std::uint64_t stopAt : {300u, 700u, 1100u})
+        interruptAfter(cfg, trace, dir.path(), 200, stopAt);
+    expectSameMetrics(m0, resumeFrom(cfg, trace, dir.path(), 200));
 }
 
 TEST_F(CkptResume, CorruptedLatestFallsBackToPreviousGeneration)
@@ -269,32 +243,13 @@ TEST_F(CkptResume, CorruptedLatestFallsBackToPreviousGeneration)
     const RunMetrics m0 = runSystem(cfg, trace);
 
     TempDir dir;
-    const std::uint64_t key = configFingerprint(cfg);
-    {
-        SystemConfig interrupted = cfg;
-        interrupted.checkpointInterval = 157;
-        interrupted.interruptAfterAccesses = 450;
-        ckpt::CheckpointSession session(dir.path(), key);
-        EXPECT_THROW(runSystem(interrupted, trace, &session),
-                     InterruptedError);
-    }
-
+    interruptAfter(cfg, trace, dir.path(), 157, 450);
     // Both generations exist now; tamper with the newer one.
-    const std::string g0 = slotFile(dir.path(), key, 0);
-    const std::string g1 = slotFile(dir.path(), key, 1);
-    const std::uint64_t seq0 =
-        ckpt::SnapshotReader(ckpt::readFile(g0)).seq();
-    const std::uint64_t seq1 =
-        ckpt::SnapshotReader(ckpt::readFile(g1)).seq();
-    ASSERT_NE(seq0, seq1);
-    flipByte(seq0 > seq1 ? g0 : g1, 50);
+    flipByte(newestGeneration(dir.path(), configFingerprint(cfg)), 50);
 
     const std::uint64_t fallbacksBefore =
         ckpt::counters().resumedFromFallback.load();
-    SystemConfig resumed = cfg;
-    resumed.checkpointInterval = 157;
-    ckpt::CheckpointSession session(dir.path(), key);
-    expectSameMetrics(m0, runSystem(resumed, trace, &session));
+    expectSameMetrics(m0, resumeFrom(cfg, trace, dir.path(), 157));
     EXPECT_EQ(ckpt::counters().resumedFromFallback.load(),
               fallbacksBefore + 1);
 }
@@ -316,35 +271,19 @@ TEST_F(CkptResume, VersionSkewIsRejectedBeforeAnyStateIsRestored)
     const RunMetrics m0 = runSystem(cfg, trace);
 
     TempDir dir;
-    const std::uint64_t key = configFingerprint(cfg);
-    {
-        SystemConfig interrupted = cfg;
-        interrupted.checkpointInterval = 157;
-        interrupted.interruptAfterAccesses = 450;
-        ckpt::CheckpointSession session(dir.path(), key);
-        EXPECT_THROW(runSystem(interrupted, trace, &session),
-                     InterruptedError);
-    }
+    interruptAfter(cfg, trace, dir.path(), 157, 450);
 
     // The version u32 sits at byte 8, right after the magic.  Skew
     // the newest generation's version field.
-    const std::string g0 = slotFile(dir.path(), key, 0);
-    const std::string g1 = slotFile(dir.path(), key, 1);
-    const std::uint64_t seq0 =
-        ckpt::SnapshotReader(ckpt::readFile(g0)).seq();
-    const std::uint64_t seq1 =
-        ckpt::SnapshotReader(ckpt::readFile(g1)).seq();
-    const std::string &newest = seq0 > seq1 ? g0 : g1;
+    const std::string newest =
+        newestGeneration(dir.path(), configFingerprint(cfg));
     flipByte(newest, 8);
     EXPECT_THROW(ckpt::SnapshotReader(ckpt::readFile(newest)),
                  CkptVersionError);
 
     const std::uint64_t fallbacksBefore =
         ckpt::counters().resumedFromFallback.load();
-    SystemConfig resumed = cfg;
-    resumed.checkpointInterval = 157;
-    ckpt::CheckpointSession session(dir.path(), key);
-    expectSameMetrics(m0, runSystem(resumed, trace, &session));
+    expectSameMetrics(m0, resumeFrom(cfg, trace, dir.path(), 157));
     EXPECT_EQ(ckpt::counters().resumedFromFallback.load(),
               fallbacksBefore + 1);
 }
@@ -357,14 +296,7 @@ TEST_F(CkptResume, BothGenerationsCorruptedReplaysFromStart)
 
     TempDir dir;
     const std::uint64_t key = configFingerprint(cfg);
-    {
-        SystemConfig interrupted = cfg;
-        interrupted.checkpointInterval = 157;
-        interrupted.interruptAfterAccesses = 450;
-        ckpt::CheckpointSession session(dir.path(), key);
-        EXPECT_THROW(runSystem(interrupted, trace, &session),
-                     InterruptedError);
-    }
+    interruptAfter(cfg, trace, dir.path(), 157, 450);
 
     // One generation tampered, the other torn mid-write.
     flipByte(slotFile(dir.path(), key, 0), 50);
@@ -375,10 +307,7 @@ TEST_F(CkptResume, BothGenerationsCorruptedReplaysFromStart)
 
     const std::uint64_t replaysBefore =
         ckpt::counters().replaysFromStart.load();
-    SystemConfig resumed = cfg;
-    resumed.checkpointInterval = 157;
-    ckpt::CheckpointSession session(dir.path(), key);
-    expectSameMetrics(m0, runSystem(resumed, trace, &session));
+    expectSameMetrics(m0, resumeFrom(cfg, trace, dir.path(), 157));
     EXPECT_EQ(ckpt::counters().replaysFromStart.load(),
               replaysBefore + 1);
 }
@@ -449,37 +378,19 @@ TEST_F(CkptResume, CorruptedLatestFallsBackDuringAutoRollback)
     // whole scripted disaster must still be deterministic.
     const auto trace = makeTrace("mcf", kMisses, kSeed);
     const SystemConfig cfg = ladderSystem();
-    const std::uint64_t key = configFingerprint(cfg);
 
     auto scriptedDisaster = [&](const std::string &dir) {
         // Interrupt late so the generation the resume falls back to
         // is near the end of the trace: with the cadence then pushed
         // past the trace end, every rollback replays only the short
         // tail, which a shifted realization can actually complete.
-        SystemConfig interrupted = cfg;
-        interrupted.interruptAfterAccesses = 1350;
-        {
-            ckpt::CheckpointSession session(dir, key);
-            EXPECT_THROW(runSystem(interrupted, trace, &session),
-                         InterruptedError);
-        }
-
+        interruptAfter(cfg, trace, dir, cfg.checkpointInterval, 1350);
         // Tamper with the newer generation on disk.
-        const std::string g0 = slotFile(dir, key, 0);
-        const std::string g1 = slotFile(dir, key, 1);
-        const std::uint64_t seq0 =
-            ckpt::SnapshotReader(ckpt::readFile(g0)).seq();
-        const std::uint64_t seq1 =
-            ckpt::SnapshotReader(ckpt::readFile(g1)).seq();
-        flipByte(seq0 > seq1 ? g0 : g1, 50);
-
+        flipByte(newestGeneration(dir, configFingerprint(cfg)), 50);
         // Resume with the cadence pushed past the end of the trace:
         // no new snapshot ever overwrites the tampered file, so
         // every in-rollback loadLatest sees it and must demote.
-        SystemConfig resumed = cfg;
-        resumed.checkpointInterval = 1u << 20;
-        ckpt::CheckpointSession session(dir, key);
-        return runSystem(resumed, trace, &session);
+        return resumeFrom(cfg, trace, dir, 1u << 20);
     };
 
     const std::uint64_t fallbacksBefore =
@@ -520,19 +431,8 @@ TEST_F(CkptResume, QuarantineSpareStoreRoundTripsThroughSnapshot)
     EXPECT_GT(m0.quarantineEvacuations, 0u);
 
     TempDir dir;
-    const std::uint64_t key = configFingerprint(cfg);
-    {
-        SystemConfig interrupted = cfg;
-        interrupted.checkpointInterval = 157;
-        interrupted.interruptAfterAccesses = 900;
-        ckpt::CheckpointSession session(dir.path(), key);
-        EXPECT_THROW(runSystem(interrupted, trace, &session),
-                     InterruptedError);
-    }
-    SystemConfig resumed = cfg;
-    resumed.checkpointInterval = 157;
-    ckpt::CheckpointSession session(dir.path(), key);
-    expectSameMetrics(m0, runSystem(resumed, trace, &session));
+    interruptAfter(cfg, trace, dir.path(), 157, 900);
+    expectSameMetrics(m0, resumeFrom(cfg, trace, dir.path(), 157));
 }
 
 TEST_F(CkptResume, StopRequestWritesFinalSnapshotThenResumes)
@@ -550,11 +450,7 @@ TEST_F(CkptResume, StopRequestWritesFinalSnapshotThenResumes)
     EXPECT_THROW(runSystem(interrupted, trace, &first),
                  InterruptedError);
     ckpt::clearStopForTesting();
-
-    SystemConfig resumed = cfg;
-    resumed.checkpointInterval = 400;
-    ckpt::CheckpointSession second(dir.path(), key);
-    expectSameMetrics(m0, runSystem(resumed, trace, &second));
+    expectSameMetrics(m0, resumeFrom(cfg, trace, dir.path(), 400));
 }
 
 TEST_F(CkptResume, RunnerAnswersCompletedPointFromDoneMarker)
@@ -633,78 +529,58 @@ serviceResumeConfig()
     cfg.queueLowWatermark = 8;
     cfg.deadline = 30'000;
     cfg.maxRetries = 1;
+    // Not fingerprinted; on so the SLO tuple is live in the snapshot.
+    cfg.slo.latencyBound = 20'000;
+    cfg.slo.windowRequests = 64;
     return cfg;
-}
-
-void
-expectSameServiceStats(const svc::ServiceStats &a,
-                       const svc::ServiceStats &b)
-{
-    EXPECT_EQ(a.arrivals, b.arrivals);
-    EXPECT_EQ(a.admitted, b.admitted);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.dedupJoins, b.dedupJoins);
-    EXPECT_EQ(a.shadowEarlyCompletions, b.shadowEarlyCompletions);
-    EXPECT_EQ(a.requestsShed, b.requestsShed);
-    EXPECT_EQ(a.shedAdmission, b.shedAdmission);
-    EXPECT_EQ(a.shedDeadline, b.shedDeadline);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
-    EXPECT_EQ(a.maxQueueDepth, b.maxQueueDepth);
-    EXPECT_EQ(a.backpressureEntries, b.backpressureEntries);
-    EXPECT_EQ(a.backpressureExits, b.backpressureExits);
-    EXPECT_EQ(a.issuedAccesses, b.issuedAccesses);
-    EXPECT_EQ(a.finishTime, b.finishTime);
-    EXPECT_EQ(a.latencyP50, b.latencyP50);
-    EXPECT_EQ(a.latencyP99, b.latencyP99);
-    EXPECT_EQ(a.latencyP999, b.latencyP999);
-    EXPECT_EQ(a.latencyMax, b.latencyMax);
-    EXPECT_EQ(a.latencyMean, b.latencyMean);
-    EXPECT_EQ(a.oram.pathReads, b.oram.pathReads);
-    EXPECT_EQ(a.oram.pathWrites, b.oram.pathWrites);
-    EXPECT_EQ(a.oram.shadowForwards, b.oram.shadowForwards);
-    EXPECT_EQ(a.oram.shadowsWritten, b.oram.shadowsWritten);
-    EXPECT_EQ(a.oram.faultsInjected, b.oram.faultsInjected);
-    EXPECT_EQ(a.oram.faultsDetected, b.oram.faultsDetected);
-    EXPECT_EQ(a.oram.faultsRecovered, b.oram.faultsRecovered);
-    EXPECT_EQ(a.oram.faultsUnrecoverable, b.oram.faultsUnrecoverable);
 }
 
 } // namespace
 
 TEST_F(CkptResume, ServiceRunKilledMidStreamResumesBitIdentically)
 {
-    // The service snapshot (kSectionSvc at kSnapshotVersion 4) must
-    // carry everything the scheduler is: generator cursor, lookahead
-    // record, queue with per-request retry state, pressure latch,
-    // stats and the latency sample — a run interrupted mid-overload
-    // and resumed matches the straight run stat for stat.
-    const svc::ServiceConfig cfg = serviceResumeConfig();
-    const svc::ServiceStats s0 = svc::runService(cfg);
-    // The interruption point below lands mid-campaign: sheds and
-    // backpressure must be live in the final numbers or the snapshot
-    // never saw them in flight.
-    EXPECT_GT(s0.requestsShed, 0u);
-    EXPECT_GT(s0.backpressureEntries, 0u);
-    EXPECT_GT(s0.oram.faultsInjected, 0u);
+    // The service snapshot (kSectionSvc and kSectionReqObs next to the
+    // OramStack sections) must carry everything the scheduler is:
+    // generator cursor, lookahead record, queue with per-request
+    // retry state, pressure latch, stats, the latency sample and the
+    // request observability — a run interrupted mid-overload and
+    // resumed matches the straight run stat for stat.  Tiny snapshots
+    // carry no kSectionPolicy, Shadow snapshots do.
+    for (Scheme scheme : {Scheme::Tiny, Scheme::Shadow}) {
+        SCOPED_TRACE(scheme == Scheme::Tiny ? "tiny" : "shadow");
+        svc::ServiceConfig cfg = serviceResumeConfig();
+        cfg.scheme = scheme;
+        const svc::ServiceStats s0 = svc::runService(cfg);
+        // The interruption point below lands mid-campaign: sheds,
+        // backpressure and SLO windows must be live in the final
+        // numbers or the snapshot never saw them in flight.
+        EXPECT_GT(s0.requestsShed, 0u);
+        EXPECT_GT(s0.backpressureEntries, 0u);
+        EXPECT_GT(s0.oram.faultsInjected, 0u);
+        EXPECT_GT(s0.sloWindows, 4u);
 
-    TempDir dir;
-    const std::uint64_t key = svc::serviceConfigFingerprint(cfg);
-    {
-        svc::ServiceConfig interrupted = cfg;
-        interrupted.checkpointInterval = 50;
-        interrupted.interruptAfterResolved = 250;
+        TempDir dir;
+        const std::uint64_t key = svc::serviceConfigFingerprint(cfg);
+        {
+            svc::ServiceConfig interrupted = cfg;
+            interrupted.checkpointInterval = 50;
+            interrupted.interruptAfterResolved = 250;
+            ckpt::CheckpointSession session(dir.path(), key);
+            EXPECT_THROW(svc::runService(interrupted, &session),
+                         InterruptedError);
+            auto latest = session.loadLatest();
+            ASSERT_NE(latest, nullptr);
+            EXPECT_EQ(latest->hasSection(ckpt::kSectionPolicy),
+                      scheme == Scheme::Shadow);
+        }
+        // The resumed config clears the interrupt seam (it already
+        // fired); the fingerprint ignores both cadence fields, so the
+        // session still addresses the same snapshot files.
+        svc::ServiceConfig resumed = cfg;
+        resumed.checkpointInterval = 50;
         ckpt::CheckpointSession session(dir.path(), key);
-        EXPECT_THROW(svc::runService(interrupted, &session),
-                     InterruptedError);
+        expectSameServiceStats(s0, svc::runService(resumed, &session));
     }
-    // The resumed config clears the interrupt seam (it already
-    // fired); the fingerprint ignores both cadence fields, so the
-    // session still addresses the same snapshot files.
-    svc::ServiceConfig resumed = cfg;
-    resumed.checkpointInterval = 50;
-    ckpt::CheckpointSession session(dir.path(), key);
-    expectSameServiceStats(s0, svc::runService(resumed, &session));
 }
 
 TEST_F(CkptResume, ServiceStopRequestWritesFinalSnapshotThenResumes)
@@ -727,6 +603,99 @@ TEST_F(CkptResume, ServiceStopRequestWritesFinalSnapshotThenResumes)
     resumed.checkpointInterval = 100;
     ckpt::CheckpointSession session(dir.path(), key);
     expectSameServiceStats(s0, svc::runService(resumed, &session));
+}
+
+namespace {
+
+/** Re-frame @p image without section @p dropped, keeping its
+ *  sequence number, fingerprint and every other section's bytes. */
+std::vector<std::uint8_t>
+withoutSection(const std::vector<std::uint8_t> &image,
+               std::uint32_t dropped)
+{
+    // Frame layout (ckpt/Snapshot.hh): magic, version u32, count u32,
+    // seq u64, fingerprint u64, payload bytes u64, then sections.
+    ckpt::Deserializer in(image.data(), image.size());
+    in.skip(8 + 4);
+    const std::uint32_t count = in.u32();
+    const std::uint64_t seq = in.u64();
+    const std::uint64_t fingerprint = in.u64();
+    in.skip(8);
+    ckpt::SnapshotWriter w;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint32_t id = in.u32();
+        std::vector<std::uint8_t> body(in.u64());
+        in.bytes(body.data(), body.size());
+        if (id != dropped)
+            w.section(id).bytes(body.data(), body.size());
+    }
+    return w.finish(seq, fingerprint);
+}
+
+/** Interrupt @p run, strip kSectionPolicy from both generations,
+ *  then expect the resume to reject them and commit nothing. */
+template <typename Run>
+void
+expectPolicylessSnapshotRejected(std::uint64_t key, Run run)
+{
+    TempDir dir;
+    {
+        ckpt::CheckpointSession session(dir.path(), key);
+        EXPECT_THROW(run(session), InterruptedError);
+    }
+    std::vector<std::uint8_t> images[2];
+    for (unsigned slot = 0; slot < 2; ++slot) {
+        const std::string path = slotFile(dir.path(), key, slot);
+        images[slot] = withoutSection(ckpt::readFile(path),
+                                      ckpt::kSectionPolicy);
+        ckpt::writeFileAtomic(path, images[slot]);
+    }
+    ckpt::CheckpointSession session(dir.path(), key);
+    EXPECT_THROW(run(session), CkptMismatchError);
+    for (unsigned slot = 0; slot < 2; ++slot)
+        EXPECT_EQ(ckpt::readFile(slotFile(dir.path(), key, slot)),
+                  images[slot]);
+}
+
+} // namespace
+
+TEST_F(CkptResume, MissingPolicySectionIsRejectedBeforeAnyStateMutates)
+{
+    // The OramStack fetches all of its sections before it loads any:
+    // a Shadow snapshot without kSectionPolicy leaves the stack as it
+    // was, byte for byte.
+    const OramConfig oramCfg = smallSystem(Scheme::Shadow).oram;
+    OramStack source(Scheme::Shadow, oramCfg);
+    OramStack target(Scheme::Shadow, oramCfg);
+    Cycles t = 0;
+    for (Addr a = 0; a < 300; ++a)
+        t = source.oram().access(a * 37, Op::Read, t + 100).completeAt;
+    ckpt::SnapshotWriter image, before, after;
+    source.save(image);
+    target.save(before);
+    EXPECT_THROW(target.restore(ckpt::SnapshotReader(withoutSection(
+                     image.finish(1, 0), ckpt::kSectionPolicy))),
+                 CkptMismatchError);
+    target.save(after);
+    EXPECT_EQ(before.finish(0, 0), after.finish(0, 0));
+
+    // Both drivers restore through the stack.
+    const auto trace = makeTrace("mcf", kMisses, kSeed);
+    SystemConfig sys = smallSystem(Scheme::Shadow);
+    sys.checkpointInterval = 157;
+    sys.interruptAfterAccesses = 450;
+    expectPolicylessSnapshotRejected(
+        configFingerprint(sys), [&](ckpt::CheckpointSession &session) {
+            runSystem(sys, trace, &session);
+        });
+    svc::ServiceConfig service = serviceResumeConfig();
+    service.checkpointInterval = 50;
+    service.interruptAfterResolved = 250;
+    expectPolicylessSnapshotRejected(
+        svc::serviceConfigFingerprint(service),
+        [&](ckpt::CheckpointSession &session) {
+            svc::runService(service, &session);
+        });
 }
 
 TEST_F(CkptResume, UnwritableCheckpointDirIsOneLineFatal)

@@ -149,6 +149,11 @@ TEST(Snapshot, WrongVersionIsVersionError)
     std::vector<std::uint8_t> image = sampleImage();
     image[8] += 1;
     EXPECT_THROW(SnapshotReader{image}, CkptVersionError);
+
+    // Version 5 (histograms with kind tags) is skew too.
+    image = sampleImage();
+    image[8] = 5;
+    EXPECT_THROW(SnapshotReader{image}, CkptVersionError);
 }
 
 TEST(Snapshot, FlippedPayloadBitIsChecksumError)

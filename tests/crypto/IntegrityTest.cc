@@ -40,10 +40,10 @@ TEST(Integrity, NonceSubstitutionBreaksTag)
 
 TEST(Integrity, TamperedTreeSlotIsDetectedOnPathRead)
 {
-    OramFixture fx(smallConfig());
+    OramStack fx(Scheme::Tiny, smallConfig());
     // Locate an occupied, off-stash slot and corrupt it.
     auto &tree =
-        const_cast<OramTree &>(fx.oram.tree());
+        const_cast<OramTree &>(fx.oram().tree());
     bool corrupted = false;
     std::uint64_t corruptedSlot = 0;
     Addr victim = kInvalidAddr;
@@ -66,7 +66,7 @@ TEST(Integrity, TamperedTreeSlotIsDetectedOnPathRead)
         {
             // Touching the victim forces a path read over the
             // corrupted slot.
-            fx.oram.access(victim, Op::Read, 0);
+            fx.oram().access(victim, Op::Read, 0);
         },
         "integrity violation");
 }

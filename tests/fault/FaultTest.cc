@@ -160,23 +160,23 @@ TEST(FaultInjector, FromEnvParsesAndValidates)
 
 TEST(FaultRecovery, ZeroRateLeavesEveryCounterZero)
 {
-    auto fx = makeShadowFixture(smallConfig());
-    drive(fx->oram, 800, 1 << 10);
-    const OramStats &st = fx->oram.stats();
-    EXPECT_EQ(fx->oram.faultInjector(), nullptr);
+    OramStack fx(Scheme::Shadow, smallConfig());
+    drive(fx.oram(), 800, 1 << 10);
+    const OramStats &st = fx.oram().stats();
+    EXPECT_EQ(fx.oram().faultInjector(), nullptr);
     EXPECT_EQ(st.faultsInjected, 0u);
     EXPECT_EQ(st.faultsDetected, 0u);
     EXPECT_EQ(st.faultsRecovered, 0u);
     EXPECT_EQ(st.faultsUnrecoverable, 0u);
-    EXPECT_TRUE(checkInvariants(fx->oram).ok);
+    EXPECT_TRUE(checkInvariants(fx.oram()).ok);
 }
 
 TEST(FaultRecovery, ShadowCopiesHealCorruptedRealBlocks)
 {
-    auto fx = makeShadowFixture(
-        faultyConfig(0.05, UnrecoverablePolicy::Count));
-    drive(fx->oram, 2500, 1 << 10);
-    const OramStats &st = fx->oram.stats();
+    OramStack fx(Scheme::Shadow,
+                 faultyConfig(0.05, UnrecoverablePolicy::Count));
+    drive(fx.oram(), 2500, 1 << 10);
+    const OramStats &st = fx.oram().stats();
 
     EXPECT_GT(st.faultsInjected, 0u);
     EXPECT_GT(st.faultsDetected, 0u);
@@ -187,16 +187,16 @@ TEST(FaultRecovery, ShadowCopiesHealCorruptedRealBlocks)
 
     // The fault path must not corrupt controller metadata: the full
     // invariant walk still passes after thousands of faulty accesses.
-    EXPECT_TRUE(checkInvariants(fx->oram).ok);
+    EXPECT_TRUE(checkInvariants(fx.oram()).ok);
 }
 
 TEST(FaultRecovery, BaselineWithoutShadowsLosesEveryCorruptedReal)
 {
     // No duplication policy: every detected corruption of a real
     // block is unrecoverable (there is nothing to heal from).
-    OramFixture fx(faultyConfig(0.05, UnrecoverablePolicy::Count));
-    drive(fx.oram, 2500, 1 << 10);
-    const OramStats &st = fx.oram.stats();
+    OramStack fx(Scheme::Tiny, faultyConfig(0.05, UnrecoverablePolicy::Count));
+    drive(fx.oram(), 2500, 1 << 10);
+    const OramStats &st = fx.oram().stats();
     EXPECT_GT(st.faultsDetected, 0u);
     EXPECT_EQ(st.faultsRecovered, 0u);
     EXPECT_EQ(st.faultsUnrecoverable, st.faultsDetected);
@@ -204,9 +204,9 @@ TEST(FaultRecovery, BaselineWithoutShadowsLosesEveryCorruptedReal)
 
 TEST(FaultRecovery, ThrowPolicyRaisesRetryableCorruptionError)
 {
-    OramFixture fx(faultyConfig(0.2, UnrecoverablePolicy::Throw));
+    OramStack fx(Scheme::Tiny, faultyConfig(0.2, UnrecoverablePolicy::Throw));
     try {
-        drive(fx.oram, 4000, 1 << 10);
+        drive(fx.oram(), 4000, 1 << 10);
         FAIL() << "no corruption surfaced at 20% fault rate";
     } catch (const CorruptionError &e) {
         EXPECT_TRUE(e.retryable())
@@ -220,18 +220,18 @@ TEST(FaultRecovery, ThrowPolicyRaisesRetryableCorruptionError)
 TEST(FaultRecovery, InjectionIsReproducibleRunToRun)
 {
     OramConfig cfg = faultyConfig(0.05, UnrecoverablePolicy::Count);
-    auto a = makeShadowFixture(cfg);
-    auto b = makeShadowFixture(cfg);
-    drive(a->oram, 1500, 1 << 10);
-    drive(b->oram, 1500, 1 << 10);
-    EXPECT_EQ(a->oram.stats().faultsInjected,
-              b->oram.stats().faultsInjected);
-    EXPECT_EQ(a->oram.stats().faultsDetected,
-              b->oram.stats().faultsDetected);
-    EXPECT_EQ(a->oram.stats().faultsRecovered,
-              b->oram.stats().faultsRecovered);
-    EXPECT_EQ(a->oram.stats().faultsUnrecoverable,
-              b->oram.stats().faultsUnrecoverable);
+    OramStack a(Scheme::Shadow, cfg);
+    OramStack b(Scheme::Shadow, cfg);
+    drive(a.oram(), 1500, 1 << 10);
+    drive(b.oram(), 1500, 1 << 10);
+    EXPECT_EQ(a.oram().stats().faultsInjected,
+              b.oram().stats().faultsInjected);
+    EXPECT_EQ(a.oram().stats().faultsDetected,
+              b.oram().stats().faultsDetected);
+    EXPECT_EQ(a.oram().stats().faultsRecovered,
+              b.oram().stats().faultsRecovered);
+    EXPECT_EQ(a.oram().stats().faultsUnrecoverable,
+              b.oram().stats().faultsUnrecoverable);
 }
 
 TEST(FaultRecovery, FaultInjectionRequiresPayloadMode)
@@ -240,7 +240,7 @@ TEST(FaultRecovery, FaultInjectionRequiresPayloadMode)
     cfg.payloadEnabled = false;
     cfg.fault.rate = 0.01;
     EXPECT_EXIT(
-        { OramFixture fx(cfg); },
+        { OramStack fx(Scheme::Tiny, cfg); },
         testing::ExitedWithCode(kFatalExitCode), "payload mode");
 }
 
@@ -265,11 +265,11 @@ TEST(Watchdog, CleanRunPassesAndIsMetricNeutral)
 
 TEST(Watchdog, EnforceThrowsOnCorruptedState)
 {
-    auto fx = makeShadowFixture(smallConfig());
-    drive(fx->oram, 400, 1 << 10);
-    EXPECT_NO_THROW(enforceInvariants(fx->oram, 400));
+    OramStack fx(Scheme::Shadow, smallConfig());
+    drive(fx.oram(), 400, 1 << 10);
+    EXPECT_NO_THROW(enforceInvariants(fx.oram(), 400));
 
-    auto &tree = const_cast<OramTree &>(fx->oram.tree());
+    auto &tree = const_cast<OramTree &>(fx.oram().tree());
     bool corrupted = false;
     for (BucketIndex b = 0; b < tree.numBuckets() && !corrupted; ++b) {
         for (unsigned s = 0; s < tree.slotsPerBucket(); ++s) {
@@ -282,7 +282,7 @@ TEST(Watchdog, EnforceThrowsOnCorruptedState)
     }
     ASSERT_TRUE(corrupted);
     try {
-        enforceInvariants(fx->oram, 400);
+        enforceInvariants(fx.oram(), 400);
         FAIL() << "corrupted state passed the watchdog";
     } catch (const InvariantViolationError &e) {
         EXPECT_EQ(e.accessCount(), 400u);

@@ -98,7 +98,7 @@ TEST(EndToEnd, PayloadIntegrityUnderFullSystem)
     // through thousands of random reads/writes and verify every
     // address still returns the last written value.
     OramConfig cfg = smallConfig();
-    auto fx = makeShadowFixture(cfg);
+    OramStack fx(Scheme::Shadow, cfg);
     Rng rng(67);
     std::vector<std::uint32_t> writeCount(1 << 10, 0);
 
@@ -110,10 +110,10 @@ TEST(EndToEnd, PayloadIntegrityUnderFullSystem)
             std::vector<std::uint64_t> data(8);
             for (int w = 0; w < 8; ++w)
                 data[w] = (a << 32) ^ (writeCount[a] * 8 + w);
-            t = fx->oram.access(a, Op::Write, t + 100, &data)
+            t = fx.oram().access(a, Op::Write, t + 100, &data)
                     .completeAt;
         } else {
-            t = fx->oram.access(a, Op::Read, t + 100).completeAt;
+            t = fx.oram().access(a, Op::Read, t + 100).completeAt;
         }
     }
     Rng check(68);
@@ -121,7 +121,7 @@ TEST(EndToEnd, PayloadIntegrityUnderFullSystem)
         Addr a = check.below(1 << 10);
         if (writeCount[a] == 0)
             continue;
-        auto payload = fx->oram.peekPayload(a);
+        auto payload = fx.oram().peekPayload(a);
         ASSERT_EQ(payload.size(), 8u);
         for (int w = 0; w < 8; ++w) {
             ASSERT_EQ(payload[w],

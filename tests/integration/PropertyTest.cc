@@ -59,26 +59,26 @@ TEST_P(OramProperties, InvariantsAndStabilityUnderRandomLoad)
     ShadowConfig scfg;
     scfg.mode = p.mode;
     scfg.staticLevel = 3;
-    auto fx = makeShadowFixture(cfg, scfg);
+    OramStack fx(Scheme::Shadow, cfg, scfg);
 
     Rng rng(p.seed * 1000 + 17);
     Cycles t = 0;
     for (int i = 0; i < 900; ++i) {
         Addr a = rng.below(1 << 10);
         Op op = rng.chance(0.35) ? Op::Write : Op::Read;
-        t = fx->oram.access(a, op, t + rng.below(800)).completeAt;
+        t = fx.oram().access(a, op, t + rng.below(800)).completeAt;
         if (rng.chance(0.08))
-            t = fx->oram.dummyAccess(t + 50);
+            t = fx.oram().dummyAccess(t + 50);
     }
 
-    InvariantReport report = checkInvariants(fx->oram);
+    InvariantReport report = checkInvariants(fx.oram());
     EXPECT_TRUE(report.ok) << report.firstViolation;
-    EXPECT_EQ(fx->oram.stash().stats().overflowEvents, 0u);
+    EXPECT_EQ(fx.oram().stash().stats().overflowEvents, 0u);
 
     // Conservation: every block is somewhere, exactly once.
-    EXPECT_EQ(fx->oram.tree().countReal() +
-                  fx->oram.stash().realCount(),
-              fx->oram.geometry().totalBlocks);
+    EXPECT_EQ(fx.oram().tree().countReal() +
+                  fx.oram().stash().realCount(),
+              fx.oram().geometry().totalBlocks);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -111,8 +111,8 @@ TEST_P(StashOverflowEquivalence, PeakRealOccupancyMatchesTiny)
     cfg.seed = GetParam();
     cfg.serveFromShadow = false;  // keep request streams identical
 
-    OramFixture tiny(cfg);
-    auto shadow = makeShadowFixture(cfg);
+    OramStack tiny(Scheme::Tiny, cfg);
+    OramStack shadow(Scheme::Shadow, cfg);
 
     Rng rng(GetParam() * 31 + 5);
     std::vector<std::pair<Addr, Op>> ops;
@@ -125,13 +125,13 @@ TEST_P(StashOverflowEquivalence, PeakRealOccupancyMatchesTiny)
         for (auto &[a, op] : ops)
             t = oram.access(a, op, t + 100).completeAt;
     };
-    drive(tiny.oram);
-    drive(shadow->oram);
+    drive(tiny.oram());
+    drive(shadow.oram());
 
-    EXPECT_EQ(tiny.oram.stash().stats().peakReal,
-              shadow->oram.stash().stats().peakReal);
-    EXPECT_EQ(tiny.oram.stash().stats().overflowEvents,
-              shadow->oram.stash().stats().overflowEvents);
+    EXPECT_EQ(tiny.oram().stash().stats().peakReal,
+              shadow.oram().stash().stats().peakReal);
+    EXPECT_EQ(tiny.oram().stash().stats().overflowEvents,
+              shadow.oram().stash().stats().overflowEvents);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StashOverflowEquivalence,

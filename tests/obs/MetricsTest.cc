@@ -59,16 +59,19 @@ TEST(MetricRegistry, GaugesArePolledAtSampleTime)
 
 TEST(HistogramSink, BinsAndOverflow)
 {
-    HistogramSink h(4, 10.0);
+    // 16 log2 bins: one per value below 16; larger values clamp.
+    HistogramSink h(16);
     h.sample(0.0);
-    h.sample(9.9);
-    h.sample(39.9);
+    h.sample(7.9);   // Truncates to 7.
+    h.sample(15.0);
     h.sample(1e9);
     h.sample(-3.0);  // Clamped into bin 0.
     EXPECT_EQ(h.samples(), 5u);
-    EXPECT_EQ(h.counts()[0], 3u);
-    EXPECT_EQ(h.counts()[3], 1u);
-    EXPECT_EQ(h.counts()[4], 1u);  // Overflow bin.
+    ASSERT_EQ(h.counts().size(), 17u);
+    EXPECT_EQ(h.counts()[0], 2u);
+    EXPECT_EQ(h.counts()[7], 1u);
+    EXPECT_EQ(h.counts()[15], 2u);
+    EXPECT_EQ(h.counts()[16], 0u);
 }
 
 TEST(IntervalSampler, CadenceHonoursInterval)
@@ -107,7 +110,7 @@ TEST(IntervalSampler, RenderedJsonlIsValid)
     MetricRegistry reg;
     reg.counter(kMetricRequests).add(17);
     reg.gauge(kMetricDriCounter, [] { return 2.5; });
-    reg.histogram(kMetricReqLatency, 4, 64.0).sample(100.0);
+    reg.histogramLog2(kMetricReqLatency, 4).sample(100.0);
     IntervalSampler sampler(reg, 1);
     sampler.onAccess(1, 11);
     sampler.onAccess(2, 22);
@@ -125,7 +128,7 @@ TEST(IntervalSampler, StateRoundTripsThroughSerde)
 {
     MetricRegistry reg;
     Counter &c = reg.counter(kMetricRequests);
-    reg.histogram(kMetricReqLatency, 8, 32.0).sample(50.0);
+    reg.histogramLog2(kMetricReqLatency, 8).sample(50.0);
     IntervalSampler sampler(reg, 100);
     c.add(40);
     for (std::uint64_t a = 1; a <= 250; ++a)
@@ -138,7 +141,7 @@ TEST(IntervalSampler, StateRoundTripsThroughSerde)
     // Fresh run, same registration order (the resume contract).
     MetricRegistry reg2;
     reg2.counter(kMetricRequests);
-    reg2.histogram(kMetricReqLatency, 8, 32.0);
+    reg2.histogramLog2(kMetricReqLatency, 8);
     IntervalSampler sampler2(reg2, 100);
     ckpt::Deserializer in(out.buffer().data(), out.buffer().size());
     reg2.loadState(in);

@@ -19,6 +19,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include "../sim/SimTestUtil.hh"
 #include "ckpt/Checkpoint.hh"
 #include "common/Errors.hh"
 #include "obs/Json.hh"
@@ -168,13 +169,8 @@ TEST(Observer, ObservedRunMatchesUnobservedMetrics)
     plain.obs = obs::ObsConfig{};
 
     const auto trace = makeTrace("sjeng", kMisses, kSeed);
-    const RunMetrics a = runSystem(observed, trace);
-    const RunMetrics b = runSystem(plain, trace);
-    EXPECT_EQ(a.execTime, b.execTime);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.pathReads, b.pathReads);
-    EXPECT_EQ(a.shadowForwards, b.shadowForwards);
-    EXPECT_EQ(a.energy, b.energy);
+    test::expectSameMetrics(runSystem(observed, trace),
+                            runSystem(plain, trace));
 }
 
 TEST(Observer, ArtifactsAreByteIdenticalAcrossThreadCounts)

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "../svc/ServiceTestUtil.hh"
 #include "ckpt/Checkpoint.hh"
 #include "ckpt/Serde.hh"
 #include "common/Errors.hh"
@@ -117,19 +118,18 @@ TEST(Log2Bins, MonotoneWithExactBounds)
     }
 }
 
-TEST(Log2Bins, KindTagRoundTripsThroughSerde)
+TEST(Log2Bins, StateRoundTripsThroughSerde)
 {
-    HistogramSink h = HistogramSink::makeLog2(kDefaultLog2Bins);
+    HistogramSink h(kDefaultLog2Bins);
     h.sample(3.0);
     h.sample(1000.0);
     h.sample(1e9);
     ckpt::Serializer out;
     h.saveState(out);
 
-    HistogramSink back(1, 1.0);  // Linear scratch; stream re-kinds it.
+    HistogramSink back(1);  // Scratch; the stream resizes it.
     ckpt::Deserializer in(out.buffer().data(), out.buffer().size());
     back.loadState(in);
-    EXPECT_EQ(back.kind(), HistogramSink::Kind::Log2);
     EXPECT_EQ(back.samples(), h.samples());
     EXPECT_EQ(back.counts(), h.counts());
 }
@@ -306,11 +306,7 @@ TEST(RequestObs, PipelineArtifactsAreReproducible)
     EXPECT_EQ(b.stageBalanceViolations, 0u);
     EXPECT_EQ(aArt.exemplarsJsonl, bArt.exemplarsJsonl);
     EXPECT_EQ(aArt.flightJson, bArt.flightJson);
-    for (std::size_t i = 0; i < kStageIdCount; ++i) {
-        EXPECT_EQ(a.stages[i].count, b.stages[i].count);
-        EXPECT_EQ(a.stages[i].total, b.stages[i].total);
-        EXPECT_EQ(a.stages[i].p999, b.stages[i].p999);
-    }
+    test::expectSameServiceStats(a, b);
 
     // The overload point exercises every stage but dedup-join's
     // backoff corner; the big four must have samples.
@@ -321,8 +317,6 @@ TEST(RequestObs, PipelineArtifactsAreReproducible)
 
     // SLO: the tight deadline under burst overload must burn budget.
     EXPECT_GT(a.sloWindows, 0u);
-    EXPECT_EQ(a.sloBreaches, b.sloBreaches);
-    EXPECT_EQ(a.sloWorstBurnMilli, b.sloWorstBurnMilli);
 
     // Artifacts parse under the strict validator.
     EXPECT_TRUE(validateJsonl(aArt.exemplarsJsonl).ok);
@@ -356,16 +350,5 @@ TEST(RequestObs, KillAndResumeReproducesObsArtifacts)
     // SLO and ring across the kill: artifacts match stat for stat.
     EXPECT_EQ(art0.exemplarsJsonl, art1.exemplarsJsonl);
     EXPECT_EQ(art0.flightJson, art1.flightJson);
-    EXPECT_EQ(s0.stageBalanceViolations, s1.stageBalanceViolations);
-    EXPECT_EQ(s0.sloWindows, s1.sloWindows);
-    EXPECT_EQ(s0.sloBreaches, s1.sloBreaches);
-    EXPECT_EQ(s0.sloWorstBurnMilli, s1.sloWorstBurnMilli);
-    for (std::size_t i = 0; i < kStageIdCount; ++i) {
-        EXPECT_EQ(s0.stages[i].count, s1.stages[i].count);
-        EXPECT_EQ(s0.stages[i].total, s1.stages[i].total);
-        EXPECT_EQ(s0.stages[i].p50, s1.stages[i].p50);
-        EXPECT_EQ(s0.stages[i].p99, s1.stages[i].p99);
-        EXPECT_EQ(s0.stages[i].p999, s1.stages[i].p999);
-        EXPECT_EQ(s0.stages[i].max, s1.stages[i].max);
-    }
+    test::expectSameServiceStats(s0, s1);
 }

@@ -3,11 +3,9 @@
 #ifndef SBORAM_TESTS_ORAMTESTUTIL_HH
 #define SBORAM_TESTS_ORAMTESTUTIL_HH
 
-#include <memory>
+#include <vector>
 
-#include "mem/DramModel.hh"
-#include "oram/TinyOram.hh"
-#include "shadow/ShadowPolicy.hh"
+#include "sim/OramStack.hh"
 
 namespace sboram::test {
 
@@ -38,28 +36,18 @@ recursiveConfig()
     return cfg;
 }
 
-/** Bundles a DRAM model with a controller (construction order). */
-struct OramFixture
+/** Read @p addrs in order; stash hits do not advance the clock. */
+inline void
+drive(TinyOram &oram, const std::vector<Addr> &addrs)
 {
-    DramModel dram;
-    TinyOram oram;
-
-    explicit OramFixture(const OramConfig &cfg,
-                         std::unique_ptr<DuplicationPolicy> policy =
-                             nullptr)
-        : dram(DramTiming::ddr3_1333(), DramGeometry{}),
-          oram(cfg, dram, std::move(policy))
-    {
+    Cycles t = 0;
+    for (Addr a : addrs) {
+        if (oram.wouldHitStash(a, Op::Read)) {
+            oram.access(a, Op::Read, t + 100);
+            continue;
+        }
+        t = oram.access(a, Op::Read, t + 100).completeAt;
     }
-};
-
-/** Fixture with the shadow policy attached. */
-inline std::unique_ptr<OramFixture>
-makeShadowFixture(OramConfig cfg, ShadowConfig scfg = ShadowConfig{})
-{
-    const unsigned leafLevel = cfg.deriveLevels();
-    auto policy = std::make_unique<ShadowPolicy>(scfg, leafLevel);
-    return std::make_unique<OramFixture>(cfg, std::move(policy));
 }
 
 } // namespace sboram::test

@@ -12,42 +12,42 @@ using namespace sboram::test;
 
 TEST(TinyOram, GeometrySmallConfig)
 {
-    OramFixture fx(smallConfig());
+    OramStack fx(Scheme::Tiny, smallConfig());
     // 1024 blocks at Z=5, 50 % utilisation → 8 levels.
-    EXPECT_EQ(fx.oram.geometry().leafLevel, 8u);
-    EXPECT_EQ(fx.oram.tree().numLeaves(), 256u);
+    EXPECT_EQ(fx.oram().geometry().leafLevel, 8u);
+    EXPECT_EQ(fx.oram().tree().numLeaves(), 256u);
 }
 
 TEST(TinyOram, InitialStateIsConsistent)
 {
-    OramFixture fx(smallConfig());
-    const std::uint64_t inTree = fx.oram.tree().countReal();
-    const std::uint64_t inStash = fx.oram.stash().realCount();
-    EXPECT_EQ(inTree + inStash, fx.oram.geometry().totalBlocks);
+    OramStack fx(Scheme::Tiny, smallConfig());
+    const std::uint64_t inTree = fx.oram().tree().countReal();
+    const std::uint64_t inStash = fx.oram().stash().realCount();
+    EXPECT_EQ(inTree + inStash, fx.oram().geometry().totalBlocks);
 }
 
 TEST(TinyOram, ReadReturnsInitialPattern)
 {
-    OramFixture fx(smallConfig());
-    AccessResult r = fx.oram.access(5, Op::Read, 0);
+    OramStack fx(Scheme::Tiny, smallConfig());
+    AccessResult r = fx.oram().access(5, Op::Read, 0);
     EXPECT_GT(r.forwardAt, 0u);
     // After the access the block sits in the stash.
-    EXPECT_TRUE(fx.oram.wouldHitStash(5, Op::Read));
+    EXPECT_TRUE(fx.oram().wouldHitStash(5, Op::Read));
 }
 
 TEST(TinyOram, WriteThenReadBack)
 {
-    OramFixture fx(smallConfig());
+    OramStack fx(Scheme::Tiny, smallConfig());
     std::vector<std::uint64_t> data{11, 22, 33, 44, 55, 66, 77, 88};
-    fx.oram.access(9, Op::Write, 0, &data);
-    EXPECT_EQ(fx.oram.peekPayload(9), data);
+    fx.oram().access(9, Op::Write, 0, &data);
+    EXPECT_EQ(fx.oram().peekPayload(9), data);
 }
 
 TEST(TinyOram, WriteSurvivesManyEvictions)
 {
-    OramFixture fx(smallConfig());
+    OramStack fx(Scheme::Tiny, smallConfig());
     std::vector<std::uint64_t> data{1, 2, 3, 4, 5, 6, 7, 8};
-    fx.oram.access(100, Op::Write, 0, &data);
+    fx.oram().access(100, Op::Write, 0, &data);
     // Push through enough other accesses that block 100 is evicted
     // back into the tree at least once.
     Rng rng(3);
@@ -56,16 +56,16 @@ TEST(TinyOram, WriteSurvivesManyEvictions)
         Addr a = rng.below(1 << 10);
         if (a == 100)
             continue;
-        t = fx.oram.access(a, Op::Read, t + 100).completeAt;
+        t = fx.oram().access(a, Op::Read, t + 100).completeAt;
     }
-    EXPECT_EQ(fx.oram.peekPayload(100), data);
+    EXPECT_EQ(fx.oram().peekPayload(100), data);
 }
 
 TEST(TinyOram, SecondAccessIsStashHit)
 {
-    OramFixture fx(smallConfig());
-    fx.oram.access(7, Op::Read, 0);
-    AccessResult r = fx.oram.access(7, Op::Read, 1000);
+    OramStack fx(Scheme::Tiny, smallConfig());
+    fx.oram().access(7, Op::Read, 0);
+    AccessResult r = fx.oram().access(7, Op::Read, 1000);
     EXPECT_TRUE(r.stashHit);
     EXPECT_TRUE(r.onChipHit);
     EXPECT_EQ(r.forwardAt, 1000 + smallConfig().stashHitLatency);
@@ -74,19 +74,19 @@ TEST(TinyOram, SecondAccessIsStashHit)
 TEST(TinyOram, AccessRemapsLeaf)
 {
     OramConfig cfg = smallConfig();
-    OramFixture fx(cfg);
+    OramStack fx(Scheme::Tiny, cfg);
     // Remapping is uniform: over many accesses of the same block the
     // label must change most of the time.
     int changed = 0;
     Cycles t = 0;
     for (int i = 0; i < 50; ++i) {
-        LeafLabel before = fx.oram.posMap().lookup(3);
+        LeafLabel before = fx.oram().posMap().lookup(3);
         // Evict it from the stash by touching other blocks first.
         for (Addr a = 200; a < 230; ++a)
-            t = fx.oram.access(a, Op::Read, t + 10).completeAt;
-        if (!fx.oram.wouldHitStash(3, Op::Read)) {
-            fx.oram.access(3, Op::Read, t);
-            if (fx.oram.posMap().lookup(3) != before)
+            t = fx.oram().access(a, Op::Read, t + 10).completeAt;
+        if (!fx.oram().wouldHitStash(3, Op::Read)) {
+            fx.oram().access(3, Op::Read, t);
+            if (fx.oram().posMap().lookup(3) != before)
                 ++changed;
         }
     }
@@ -97,49 +97,49 @@ TEST(TinyOram, EvictionEveryAthAccess)
 {
     OramConfig cfg = smallConfig();
     cfg.evictionRate = 5;
-    OramFixture fx(cfg);
+    OramStack fx(Scheme::Tiny, cfg);
     Cycles t = 0;
     std::uint64_t served = 0;
     for (Addr a = 0; a < 25 || served < 25; ++a) {
-        AccessResult r = fx.oram.access(a % 1024, Op::Read, t + 10);
+        AccessResult r = fx.oram().access(a % 1024, Op::Read, t + 10);
         t = r.completeAt;
         if (!r.stashHit)
             ++served;
     }
     // Exactly one eviction (path read + path write) per A = 5
     // request-serving path reads.
-    EXPECT_EQ(fx.oram.stats().evictions, served / 5);
-    EXPECT_EQ(fx.oram.stats().pathWrites, served / 5);
-    EXPECT_EQ(fx.oram.stats().pathReads, served + served / 5);
+    EXPECT_EQ(fx.oram().stats().evictions, served / 5);
+    EXPECT_EQ(fx.oram().stats().pathWrites, served / 5);
+    EXPECT_EQ(fx.oram().stats().pathReads, served + served / 5);
 }
 
 TEST(TinyOram, DummyAccessLeavesStateUntouched)
 {
-    OramFixture fx(smallConfig());
-    fx.oram.access(1, Op::Read, 0);
-    const std::uint64_t treeReal = fx.oram.tree().countReal();
-    const std::uint64_t stashReal = fx.oram.stash().realCount();
-    const std::uint64_t evictions = fx.oram.stats().evictions;
+    OramStack fx(Scheme::Tiny, smallConfig());
+    fx.oram().access(1, Op::Read, 0);
+    const std::uint64_t treeReal = fx.oram().tree().countReal();
+    const std::uint64_t stashReal = fx.oram().stash().realCount();
+    const std::uint64_t evictions = fx.oram().stats().evictions;
     // Four dummies do not move any block (though the 5th overall
     // access triggers an eviction, so stop before that).
-    fx.oram.dummyAccess(10000);
-    fx.oram.dummyAccess(20000);
-    fx.oram.dummyAccess(30000);
-    EXPECT_EQ(fx.oram.tree().countReal(), treeReal);
-    EXPECT_EQ(fx.oram.stash().realCount(), stashReal);
-    EXPECT_EQ(fx.oram.stats().evictions, evictions);
-    EXPECT_EQ(fx.oram.stats().dummyAccesses, 3u);
+    fx.oram().dummyAccess(10000);
+    fx.oram().dummyAccess(20000);
+    fx.oram().dummyAccess(30000);
+    EXPECT_EQ(fx.oram().tree().countReal(), treeReal);
+    EXPECT_EQ(fx.oram().stash().realCount(), stashReal);
+    EXPECT_EQ(fx.oram().stats().evictions, evictions);
+    EXPECT_EQ(fx.oram().stats().dummyAccesses, 3u);
 }
 
 TEST(TinyOram, ForwardBeforeCompleteOnPathAccess)
 {
-    OramFixture fx(smallConfig());
+    OramStack fx(Scheme::Tiny, smallConfig());
     // Use a block that is deep in the tree so forwarding must happen
     // strictly before the full path read completes most of the time.
     Cycles t = 0;
     int earlier = 0, total = 0;
     for (Addr a = 0; a < 60; ++a) {
-        AccessResult r = fx.oram.access(a, Op::Read, t + 50);
+        AccessResult r = fx.oram().access(a, Op::Read, t + 50);
         t = r.completeAt;
         if (r.stashHit)
             continue;
@@ -152,23 +152,23 @@ TEST(TinyOram, ForwardBeforeCompleteOnPathAccess)
 
 TEST(TinyOram, ControllerBusySerializesRequests)
 {
-    OramFixture fx(smallConfig());
-    AccessResult a = fx.oram.access(1, Op::Read, 0);
-    ASSERT_FALSE(fx.oram.wouldHitStash(2, Op::Read));
+    OramStack fx(Scheme::Tiny, smallConfig());
+    AccessResult a = fx.oram().access(1, Op::Read, 0);
+    ASSERT_FALSE(fx.oram().wouldHitStash(2, Op::Read));
     // Issue the next request while the controller is still busy.
-    AccessResult b = fx.oram.access(2, Op::Read, a.completeAt / 2);
+    AccessResult b = fx.oram().access(2, Op::Read, a.completeAt / 2);
     EXPECT_GE(b.start, a.completeAt);
 }
 
 TEST(TinyOram, RecursivePosMapGeneratesExtraAccesses)
 {
-    OramFixture fx(recursiveConfig());
-    AccessResult r = fx.oram.access(0, Op::Read, 0);
+    OramStack fx(Scheme::Tiny, recursiveConfig());
+    AccessResult r = fx.oram().access(0, Op::Read, 0);
     // Cold PLB: 2 position-map accesses + the data access.
     EXPECT_EQ(r.pathAccesses, 3u);
-    EXPECT_EQ(fx.oram.stats().posMapAccesses, 2u);
+    EXPECT_EQ(fx.oram().stats().posMapAccesses, 2u);
     // A different address covered by the same pm blocks is cheaper.
-    AccessResult r2 = fx.oram.access(1, Op::Read, r.completeAt);
+    AccessResult r2 = fx.oram().access(1, Op::Read, r.completeAt);
     EXPECT_EQ(r2.pathAccesses, 1u);
 }
 
@@ -176,15 +176,15 @@ TEST(TinyOram, XorCompressionForwardsAtEnd)
 {
     OramConfig cfg = smallConfig();
     cfg.xorCompression = true;
-    OramFixture fx(cfg);
+    OramStack fx(Scheme::Tiny, cfg);
     Cycles t = 0;
     for (Addr a = 0; a < 30; ++a) {
         const std::uint64_t evictionsBefore =
-            fx.oram.stats().evictions;
-        AccessResult r = fx.oram.access(a, Op::Read, t + 50);
+            fx.oram().stats().evictions;
+        AccessResult r = fx.oram().access(a, Op::Read, t + 50);
         t = r.completeAt;
         const bool evicted =
-            fx.oram.stats().evictions != evictionsBefore;
+            fx.oram().stats().evictions != evictionsBefore;
         if (!r.stashHit) {
             EXPECT_FALSE(r.usedShadow);
             // The XOR result exists only after the whole path read,
@@ -202,27 +202,27 @@ TEST(TinyOram, TreetopSkipsDramForTopLevels)
 {
     OramConfig cfg = smallConfig();
     cfg.treetopLevels = 3;
-    OramFixture fx(cfg);
+    OramStack fx(Scheme::Tiny, cfg);
     Cycles t = 0;
     for (int i = 0; i < 100; ++i) {
         Addr a = static_cast<Addr>((i * 37) % 1024);
-        t = fx.oram.access(a, Op::Read, t + 50).completeAt;
+        t = fx.oram().access(a, Op::Read, t + 50).completeAt;
     }
     // Levels 0..2 live on chip: every path read touches only
     // (L+1-3) * Z = 30 blocks in DRAM (L = 8, Z = 5).
     const std::uint64_t perPath =
-        (fx.oram.geometry().leafLevel + 1 - 3) * 5;
-    EXPECT_EQ(fx.dram.stats().reads,
-              fx.oram.stats().pathReads * perPath);
-    EXPECT_EQ(fx.dram.stats().writes,
-              fx.oram.stats().pathWrites * perPath);
+        (fx.oram().geometry().leafLevel + 1 - 3) * 5;
+    EXPECT_EQ(fx.dram().stats().reads,
+              fx.oram().stats().pathReads * perPath);
+    EXPECT_EQ(fx.dram().stats().writes,
+              fx.oram().stats().pathWrites * perPath);
 }
 
 TEST(TinyOram, TreetopYieldsOnChipHitsOnReuse)
 {
     OramConfig cfg = smallConfig();
     cfg.treetopLevels = 3;
-    OramFixture fx(cfg);
+    OramStack fx(Scheme::Tiny, cfg);
     Cycles t = 0;
     std::uint64_t onChip = 0;
     // Revisit a small hot set with churn in between: after eviction
@@ -230,7 +230,7 @@ TEST(TinyOram, TreetopYieldsOnChipHitsOnReuse)
     // prefixes), so reuse hits the stash or the treetop.
     for (int round = 0; round < 40; ++round) {
         for (int h = 0; h < 8; ++h) {
-            AccessResult r = fx.oram.access(
+            AccessResult r = fx.oram().access(
                 static_cast<Addr>(h), Op::Read, t + 50);
             t = r.completeAt;
             if (r.onChipHit)
@@ -239,28 +239,28 @@ TEST(TinyOram, TreetopYieldsOnChipHitsOnReuse)
         for (int c = 0; c < 10; ++c) {
             Addr a = static_cast<Addr>(
                 100 + (round * 10 + c) % 900);
-            AccessResult r = fx.oram.access(a, Op::Read, t + 50);
+            AccessResult r = fx.oram().access(a, Op::Read, t + 50);
             t = r.completeAt;
             if (r.onChipHit)
                 ++onChip;
         }
     }
     EXPECT_GT(onChip, 0u);
-    EXPECT_EQ(fx.oram.stats().onChipHits, onChip);
+    EXPECT_EQ(fx.oram().stats().onChipHits, onChip);
 }
 
 TEST(TinyOram, StashNeverOverflowsUnderRandomLoad)
 {
-    OramFixture fx(smallConfig());
+    OramStack fx(Scheme::Tiny, smallConfig());
     Rng rng(17);
     Cycles t = 0;
     for (int i = 0; i < 3000; ++i) {
         Addr a = rng.below(1 << 10);
         Op op = rng.chance(0.3) ? Op::Write : Op::Read;
-        t = fx.oram.access(a, op, t + 100).completeAt;
+        t = fx.oram().access(a, op, t + 100).completeAt;
     }
-    EXPECT_EQ(fx.oram.stash().stats().overflowEvents, 0u);
-    EXPECT_LT(fx.oram.stash().stats().peakReal,
+    EXPECT_EQ(fx.oram().stash().stats().overflowEvents, 0u);
+    EXPECT_LT(fx.oram().stash().stats().peakReal,
               smallConfig().stashCapacity);
 }
 
@@ -334,7 +334,8 @@ TEST(TinyOram, HotnessLookupsPerAccessStayBelowCapacityPlusInserts)
     auto counting = std::make_unique<HotnessCountingPolicy>(
         std::make_unique<ShadowPolicy>(ShadowConfig{}, leafLevel));
     HotnessCountingPolicy &policy = *counting;
-    OramFixture fx(cfg, std::move(counting));
+    DramModel dram(DramTiming::ddr3_1333(), DramGeometry{});
+    TinyOram oram(cfg, dram, std::move(counting));
 
     WorkloadGenerator gen(specProfile("mcf"), 12345);
     std::uint64_t worstExcess = 0, worstAccess = 0;
@@ -343,14 +344,14 @@ TEST(TinyOram, HotnessLookupsPerAccessStayBelowCapacityPlusInserts)
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const LlcMissRecord &rec = trace[i];
         const std::uint64_t lookups0 = policy.lookups;
-        const std::uint64_t inserts0 = fx.oram.stash().inserts();
-        t = fx.oram
+        const std::uint64_t inserts0 = oram.stash().inserts();
+        t = oram
                 .access(rec.addr % cfg.dataBlocks,
                         rec.isWrite ? Op::Write : Op::Read, t + 100)
                 .completeAt;
         const std::uint64_t calls = policy.lookups - lookups0;
         const std::uint64_t ceiling =
-            cfg.stashCapacity + (fx.oram.stash().inserts() - inserts0);
+            cfg.stashCapacity + (oram.stash().inserts() - inserts0);
         if (calls > ceiling && calls - ceiling > worstExcess) {
             worstExcess = calls - ceiling;
             worstAccess = i;

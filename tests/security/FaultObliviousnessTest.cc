@@ -31,20 +31,6 @@ using namespace sboram::test;
 
 namespace {
 
-/** Drive a controller with a read sequence (stash hits stay free). */
-void
-drive(TinyOram &oram, const std::vector<Addr> &addrs)
-{
-    Cycles t = 0;
-    for (Addr a : addrs) {
-        if (oram.wouldHitStash(a, Op::Read)) {
-            oram.access(a, Op::Read, t + 100);
-            continue;
-        }
-        t = oram.access(a, Op::Read, t + 100).completeAt;
-    }
-}
-
 std::vector<Addr>
 randomSequence(std::size_t n, std::uint64_t space, std::uint64_t seed)
 {
@@ -113,21 +99,20 @@ TEST_P(FaultObliviousness, RecoveryLeavesTheTraceUntouched)
 
     OramConfig cleanCfg = smallConfig();
     cleanCfg.serveFromShadow = false;
-    auto clean = makeShadowFixture(cleanCfg, modeConfig(GetParam()));
+    OramStack clean(Scheme::Shadow, cleanCfg, modeConfig(GetParam()));
     TraceRecorder cleanTrace;
-    clean->oram.setTraceSink(&cleanTrace);
-    drive(clean->oram, addrs);
+    clean.oram().setTraceSink(&cleanTrace);
+    drive(clean.oram(), addrs);
 
     OramConfig faultyCfg = faultyConfig(0.05);
     faultyCfg.serveFromShadow = false;
-    auto faulty = makeShadowFixture(faultyCfg,
-                                    modeConfig(GetParam()));
+    OramStack faulty(Scheme::Shadow, faultyCfg, modeConfig(GetParam()));
     TraceRecorder faultyTrace;
-    faulty->oram.setTraceSink(&faultyTrace);
-    drive(faulty->oram, addrs);
+    faulty.oram().setTraceSink(&faultyTrace);
+    drive(faulty.oram(), addrs);
 
     // The run must have exercised the machinery being vetted.
-    const OramStats &st = faulty->oram.stats();
+    const OramStats &st = faulty.oram().stats();
     ASSERT_GT(st.faultsInjected, 0u);
     EXPECT_GT(st.faultsDetected, 0u);
     EXPECT_GT(st.faultsRecovered, 0u);
@@ -153,30 +138,29 @@ TEST_P(FaultObliviousness, LadderMechanismsLeaveTheTraceUntouched)
     OramConfig cleanCfg = smallConfig();
     cleanCfg.serveFromShadow = false;
     armLadder(cleanCfg);
-    auto clean = makeShadowFixture(cleanCfg, modeConfig(GetParam()));
+    OramStack clean(Scheme::Shadow, cleanCfg, modeConfig(GetParam()));
     TraceRecorder cleanTrace;
-    clean->oram.setTraceSink(&cleanTrace);
-    drive(clean->oram, addrs);
+    clean.oram().setTraceSink(&cleanTrace);
+    drive(clean.oram(), addrs);
 
     OramConfig faultyCfg = faultyConfig(0.05);
     faultyCfg.serveFromShadow = false;
     armLadder(faultyCfg);
-    auto faulty = makeShadowFixture(faultyCfg,
-                                    modeConfig(GetParam()));
+    OramStack faulty(Scheme::Shadow, faultyCfg, modeConfig(GetParam()));
     TraceRecorder faultyTrace;
-    faulty->oram.setTraceSink(&faultyTrace);
-    drive(faulty->oram, addrs);
+    faulty.oram().setTraceSink(&faultyTrace);
+    drive(faulty.oram(), addrs);
 
     // Both ladder tiers must actually have fired.
-    const OramStats &st = faulty->oram.stats();
+    const OramStats &st = faulty.oram().stats();
     ASSERT_GT(st.faultsRecovered, 0u);
     ASSERT_GT(st.slotsQuarantined, 0u);
     ASSERT_GT(st.degradedEntries, 0u);
     ASSERT_GT(st.emergencyEvictions, 0u);
     // The latch is fault-blind: the clean run cycles identically.
-    EXPECT_EQ(clean->oram.stats().degradedEntries,
+    EXPECT_EQ(clean.oram().stats().degradedEntries,
               st.degradedEntries);
-    EXPECT_EQ(clean->oram.stats().emergencyEvictions,
+    EXPECT_EQ(clean.oram().stats().emergencyEvictions,
               st.emergencyEvictions);
 
     ASSERT_EQ(cleanTrace.events().size(), faultyTrace.events().size());
@@ -188,14 +172,13 @@ TEST_P(FaultObliviousness, LadderMechanismsLeaveTheTraceUntouched)
 
 TEST_P(FaultObliviousness, ReadLeavesStayUniformUnderFaults)
 {
-    auto fx = makeShadowFixture(faultyConfig(0.05),
-                                modeConfig(GetParam()));
+    OramStack fx(Scheme::Shadow, faultyConfig(0.05), modeConfig(GetParam()));
     TraceRecorder rec;
-    fx->oram.setTraceSink(&rec);
-    drive(fx->oram, randomSequence(4000, 1 << 10, 71));
-    ASSERT_GT(fx->oram.stats().faultsRecovered, 0u);
+    fx.oram().setTraceSink(&rec);
+    drive(fx.oram(), randomSequence(4000, 1 << 10, 71));
+    ASSERT_GT(fx.oram().stats().faultsRecovered, 0u);
     const double chi2 = leafUniformityChi2(
-        rec.events(), 16, fx->oram.tree().numLeaves());
+        rec.events(), 16, fx.oram().tree().numLeaves());
     EXPECT_LT(chi2, 1.8);
 }
 
@@ -210,15 +193,15 @@ TEST_P(FaultObliviousness, ScanAndCyclicStayInseparableUnderFaults)
         OramConfig cfg = faultyConfig(0.02);
         cfg.seed = 59;
         armLadder(cfg);
-        auto fx = makeShadowFixture(cfg, modeConfig(GetParam()));
+        OramStack fx(Scheme::Shadow, cfg, modeConfig(GetParam()));
         TraceRecorder rec;
-        fx->oram.setTraceSink(&rec);
-        drive(fx->oram, addrs);
-        EXPECT_GT(fx->oram.stats().faultsRecovered, 0u);
+        fx.oram().setTraceSink(&rec);
+        drive(fx.oram(), addrs);
+        EXPECT_GT(fx.oram().stats().faultsRecovered, 0u);
         // RRWP-k must hold with the ladder actually engaged, not
         // merely configured.
-        EXPECT_GT(fx->oram.stats().slotsQuarantined, 0u);
-        EXPECT_GT(fx->oram.stats().degradedEntries, 0u);
+        EXPECT_GT(fx.oram().stats().slotsQuarantined, 0u);
+        EXPECT_GT(fx.oram().stats().degradedEntries, 0u);
         std::vector<double> rates;
         const auto &ev = rec.events();
         const std::size_t chunk = 400;

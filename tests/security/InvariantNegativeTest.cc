@@ -15,14 +15,14 @@ using namespace sboram::test;
  */
 namespace {
 
-std::unique_ptr<OramFixture>
+std::unique_ptr<OramStack>
 workedFixture()
 {
-    auto fx = makeShadowFixture(smallConfig());
+    auto fx = std::make_unique<OramStack>(Scheme::Shadow, smallConfig());
     Rng rng(91);
     Cycles t = 0;
     for (int i = 0; i < 600; ++i) {
-        t = fx->oram
+        t = fx->oram()
                 .access(rng.below(1 << 10),
                         rng.chance(0.3) ? Op::Write : Op::Read,
                         t + 150)
@@ -54,7 +54,7 @@ findSlot(OramTree &tree, Pred &&pred, BucketIndex &bOut,
 TEST(InvariantNegative, DetectsOffPathBlock)
 {
     auto fx = workedFixture();
-    auto &tree = const_cast<OramTree &>(fx->oram.tree());
+    auto &tree = const_cast<OramTree &>(fx->oram().tree());
     BucketIndex b;
     unsigned s;
     ASSERT_TRUE(findSlot(tree,
@@ -62,7 +62,7 @@ TEST(InvariantNegative, DetectsOffPathBlock)
                          b, s));
     // Corrupt the label so the block is no longer on its path.
     tree.slot(b, s).leaf ^= 1;
-    InvariantReport report = checkInvariants(fx->oram);
+    InvariantReport report = checkInvariants(fx->oram());
     EXPECT_FALSE(report.ok);
     EXPECT_NE(report.firstViolation.find("posmap label"),
               std::string::npos)
@@ -72,7 +72,7 @@ TEST(InvariantNegative, DetectsOffPathBlock)
 TEST(InvariantNegative, DetectsDuplicateRealCopy)
 {
     auto fx = workedFixture();
-    auto &tree = const_cast<OramTree &>(fx->oram.tree());
+    auto &tree = const_cast<OramTree &>(fx->oram().tree());
     // Clone a real block into a spare slot of the same bucket (same
     // level, so only the one-real-copy rule is broken).  Shadow slots
     // are droppable by design, so displacing one is fair game.
@@ -96,7 +96,7 @@ TEST(InvariantNegative, DetectsDuplicateRealCopy)
             continue;
         tree.slot(b, static_cast<unsigned>(spareSlot)) =
             tree.slot(b, static_cast<unsigned>(realSlot));
-        InvariantReport report = checkInvariants(fx->oram);
+        InvariantReport report = checkInvariants(fx->oram());
         EXPECT_FALSE(report.ok);
         EXPECT_NE(report.firstViolation.find("real copies"),
                   std::string::npos)
@@ -109,7 +109,7 @@ TEST(InvariantNegative, DetectsDuplicateRealCopy)
 TEST(InvariantNegative, DetectsShadowBelowReal)
 {
     auto fx = workedFixture();
-    auto &tree = const_cast<OramTree &>(fx->oram.tree());
+    auto &tree = const_cast<OramTree &>(fx->oram().tree());
     // Find a real block above the leaf level with a free slot in a
     // descendant bucket on its own path.
     for (BucketIndex b = 0; b < tree.numBuckets(); ++b) {
@@ -129,7 +129,7 @@ TEST(InvariantNegative, DetectsShadowBelowReal)
                 deep = slot;
                 deep.type = BlockType::Shadow;
                 InvariantReport report =
-                    checkInvariants(fx->oram);
+                    checkInvariants(fx->oram());
                 EXPECT_FALSE(report.ok)
                     << "shadow strictly below real went unnoticed";
                 EXPECT_NE(report.firstViolation.find(
@@ -146,13 +146,13 @@ TEST(InvariantNegative, DetectsShadowBelowReal)
 TEST(InvariantNegative, DetectsVersionDivergence)
 {
     auto fx = workedFixture();
-    auto &tree = const_cast<OramTree &>(fx->oram.tree());
+    auto &tree = const_cast<OramTree &>(fx->oram().tree());
     BucketIndex b;
     unsigned s;
     ASSERT_TRUE(findSlot(
         tree, [](const Slot &sl) { return sl.isShadow(); }, b, s));
     tree.slot(b, s).version += 7;
-    InvariantReport report = checkInvariants(fx->oram);
+    InvariantReport report = checkInvariants(fx->oram());
     EXPECT_FALSE(report.ok);
     EXPECT_NE(report.firstViolation.find("divergent versions"),
               std::string::npos)
@@ -162,7 +162,7 @@ TEST(InvariantNegative, DetectsVersionDivergence)
 TEST(InvariantNegative, DetectsRealLevelTableDrift)
 {
     auto fx = workedFixture();
-    auto &tree = const_cast<OramTree &>(fx->oram.tree());
+    auto &tree = const_cast<OramTree &>(fx->oram().tree());
     // Move a real block one level up along its own path (it stays on
     // the path, but the controller's level table now disagrees).
     // Scan every below-root real; displace a parent shadow if the
@@ -191,7 +191,7 @@ TEST(InvariantNegative, DetectsRealLevelTableDrift)
                 continue;
             tree.slot(parent, static_cast<unsigned>(dest)) = slot;
             slot.clear();
-            InvariantReport report = checkInvariants(fx->oram);
+            InvariantReport report = checkInvariants(fx->oram());
             EXPECT_FALSE(report.ok);
             EXPECT_NE(report.firstViolation.find("realLevel table"),
                       std::string::npos)
@@ -205,12 +205,12 @@ TEST(InvariantNegative, DetectsRealLevelTableDrift)
 TEST(InvariantNegative, DetectsTreeShadowOfStashResidentReal)
 {
     auto fx = workedFixture();
-    auto &tree = const_cast<OramTree &>(fx->oram.tree());
+    auto &tree = const_cast<OramTree &>(fx->oram().tree());
 
     // Find a real block living in the stash...
     StashEntry victim;
     bool found = false;
-    fx->oram.stash().forEach([&](const StashEntry &e) {
+    fx->oram().stash().forEach([&](const StashEntry &e) {
         if (!found && e.type == BlockType::Real) {
             victim = e;
             found = true;
@@ -230,7 +230,7 @@ TEST(InvariantNegative, DetectsTreeShadowOfStashResidentReal)
             slot.addr = static_cast<std::uint32_t>(victim.addr);
             slot.leaf = static_cast<std::uint32_t>(victim.leaf);
             slot.version = victim.version;
-            InvariantReport report = checkInvariants(fx->oram);
+            InvariantReport report = checkInvariants(fx->oram());
             EXPECT_FALSE(report.ok)
                 << "tree shadow of a stash-resident real unnoticed";
             EXPECT_NE(report.firstViolation.find(

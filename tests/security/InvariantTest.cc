@@ -28,17 +28,17 @@ randomWorkout(TinyOram &oram, int ops, std::uint64_t seed,
 
 TEST(Invariants, FreshTinyOramIsClean)
 {
-    OramFixture fx(smallConfig());
-    InvariantReport report = checkInvariants(fx.oram);
+    OramStack fx(Scheme::Tiny, smallConfig());
+    InvariantReport report = checkInvariants(fx.oram());
     EXPECT_TRUE(report.ok) << report.firstViolation;
     EXPECT_EQ(report.shadowCopies, 0u);
 }
 
 TEST(Invariants, TinyOramStaysCleanUnderLoad)
 {
-    OramFixture fx(smallConfig());
-    randomWorkout(fx.oram, 1500, 21, 1 << 10);
-    InvariantReport report = checkInvariants(fx.oram);
+    OramStack fx(Scheme::Tiny, smallConfig());
+    randomWorkout(fx.oram(), 1500, 21, 1 << 10);
+    InvariantReport report = checkInvariants(fx.oram());
     EXPECT_TRUE(report.ok) << report.firstViolation;
     EXPECT_EQ(report.shadowCopies, 0u);  // No policy, no shadows.
 }
@@ -53,9 +53,9 @@ TEST_P(ShadowInvariants, HoldUnderRandomLoad)
     ShadowConfig scfg;
     scfg.mode = GetParam();
     scfg.staticLevel = 4;
-    auto fx = makeShadowFixture(smallConfig(), scfg);
-    randomWorkout(fx->oram, 1500, 23, 1 << 10);
-    InvariantReport report = checkInvariants(fx->oram);
+    OramStack fx(Scheme::Shadow, smallConfig(), scfg);
+    randomWorkout(fx.oram(), 1500, 23, 1 << 10);
+    InvariantReport report = checkInvariants(fx.oram());
     EXPECT_TRUE(report.ok) << report.firstViolation;
     EXPECT_GT(report.shadowCopies, 0u);
 }
@@ -68,9 +68,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Invariants, HoldWithRecursivePosMapAndShadows)
 {
-    auto fx = makeShadowFixture(recursiveConfig());
-    randomWorkout(fx->oram, 1200, 29, 1 << 12);
-    InvariantReport report = checkInvariants(fx->oram);
+    OramStack fx(Scheme::Shadow, recursiveConfig());
+    randomWorkout(fx.oram(), 1200, 29, 1 << 12);
+    InvariantReport report = checkInvariants(fx.oram());
     EXPECT_TRUE(report.ok) << report.firstViolation;
 }
 
@@ -78,24 +78,24 @@ TEST(Invariants, HoldWithTreetopAndShadows)
 {
     OramConfig cfg = smallConfig();
     cfg.treetopLevels = 3;
-    auto fx = makeShadowFixture(cfg);
-    randomWorkout(fx->oram, 1200, 31, 1 << 10);
-    InvariantReport report = checkInvariants(fx->oram);
+    OramStack fx(Scheme::Shadow, cfg);
+    randomWorkout(fx.oram(), 1200, 31, 1 << 10);
+    InvariantReport report = checkInvariants(fx.oram());
     EXPECT_TRUE(report.ok) << report.firstViolation;
 }
 
 TEST(Invariants, PeriodicChecksDuringLongRun)
 {
-    auto fx = makeShadowFixture(smallConfig());
+    OramStack fx(Scheme::Shadow, smallConfig());
     Rng rng(37);
     Cycles t = 0;
     for (int chunk = 0; chunk < 8; ++chunk) {
         for (int i = 0; i < 250; ++i) {
             Addr a = rng.below(1 << 10);
             Op op = rng.chance(0.4) ? Op::Write : Op::Read;
-            t = fx->oram.access(a, op, t + 200).completeAt;
+            t = fx.oram().access(a, op, t + 200).completeAt;
         }
-        InvariantReport report = checkInvariants(fx->oram);
+        InvariantReport report = checkInvariants(fx.oram());
         ASSERT_TRUE(report.ok)
             << "after chunk " << chunk << ": "
             << report.firstViolation;

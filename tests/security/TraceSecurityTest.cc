@@ -10,20 +10,6 @@ using namespace sboram::test;
 
 namespace {
 
-/** Drive a controller with a fixed (addr, op) sequence. */
-void
-drive(TinyOram &oram, const std::vector<Addr> &addrs)
-{
-    Cycles t = 0;
-    for (Addr a : addrs) {
-        if (oram.wouldHitStash(a, Op::Read)) {
-            oram.access(a, Op::Read, t + 100);
-            continue;
-        }
-        t = oram.access(a, Op::Read, t + 100).completeAt;
-    }
-}
-
 std::vector<Addr>
 scanSequence(std::size_t n, std::uint64_t space)
 {
@@ -53,19 +39,19 @@ TEST(TraceSecurity, ShadowTraceIdenticalToTinyWithSameSeed)
     OramConfig cfg = smallConfig();
     cfg.serveFromShadow = false;
 
-    OramFixture tiny(cfg);
-    auto shadow = makeShadowFixture(cfg);
+    OramStack tiny(Scheme::Tiny, cfg);
+    OramStack shadow(Scheme::Shadow, cfg);
     TraceRecorder tinyTrace, shadowTrace;
-    tiny.oram.setTraceSink(&tinyTrace);
-    shadow->oram.setTraceSink(&shadowTrace);
+    tiny.oram().setTraceSink(&tinyTrace);
+    shadow.oram().setTraceSink(&shadowTrace);
 
     Rng rng(41);
     std::vector<Addr> addrs;
     for (int i = 0; i < 1200; ++i)
         addrs.push_back(rng.below(1 << 10));
 
-    drive(tiny.oram, addrs);
-    drive(shadow->oram, addrs);
+    drive(tiny.oram(), addrs);
+    drive(shadow.oram(), addrs);
 
     ASSERT_EQ(tinyTrace.events().size(), shadowTrace.events().size());
     for (std::size_t i = 0; i < tinyTrace.events().size(); ++i) {
@@ -73,22 +59,22 @@ TEST(TraceSecurity, ShadowTraceIdenticalToTinyWithSameSeed)
             << "traces diverge at event " << i;
     }
     // And the shadow run really did write shadow blocks.
-    EXPECT_GT(shadow->oram.stats().shadowsWritten, 0u);
+    EXPECT_GT(shadow.oram().stats().shadowsWritten, 0u);
 }
 
 TEST(TraceSecurity, ReadLeavesAreUniform)
 {
-    auto fx = makeShadowFixture(smallConfig());
+    OramStack fx(Scheme::Shadow, smallConfig());
     TraceRecorder rec;
-    fx->oram.setTraceSink(&rec);
+    fx.oram().setTraceSink(&rec);
     Rng rng(43);
     std::vector<Addr> addrs;
     for (int i = 0; i < 4000; ++i)
         addrs.push_back(rng.below(1 << 10));
-    drive(fx->oram, addrs);
+    drive(fx.oram(), addrs);
     // Normalised chi-square close to 1 means uniform labels.
     const double chi2 = leafUniformityChi2(
-        rec.events(), 16, fx->oram.tree().numLeaves());
+        rec.events(), 16, fx.oram().tree().numLeaves());
     EXPECT_LT(chi2, 1.8);
 }
 
@@ -101,10 +87,10 @@ TEST(TraceSecurity, ScanAndCyclicTracesIndistinguishable)
                            std::uint64_t seed) {
         OramConfig cfg = smallConfig();
         cfg.seed = seed;
-        auto fx = makeShadowFixture(cfg);
+        OramStack fx(Scheme::Shadow, cfg);
         TraceRecorder rec;
-        fx->oram.setTraceSink(&rec);
-        drive(fx->oram, addrs);
+        fx.oram().setTraceSink(&rec);
+        drive(fx.oram(), addrs);
         // Chunk the trace and compute RRWP-32 per chunk.
         std::vector<double> rates;
         const auto &ev = rec.events();
@@ -140,15 +126,15 @@ TEST(TraceSecurity, NaiveReorderingWouldLeak)
                             std::uint64_t seed) {
         OramConfig cfg = smallConfig();
         cfg.seed = seed;
-        OramFixture fx(cfg);
+        OramStack fx(Scheme::Tiny, cfg);
         std::vector<double> levels;
         Cycles t = 0;
         for (Addr a : addrs) {
-            if (fx.oram.wouldHitStash(a, Op::Read)) {
-                fx.oram.access(a, Op::Read, t + 100);
+            if (fx.oram().wouldHitStash(a, Op::Read)) {
+                fx.oram().access(a, Op::Read, t + 100);
                 continue;
             }
-            AccessResult r = fx.oram.access(a, Op::Read, t + 100);
+            AccessResult r = fx.oram().access(a, Op::Read, t + 100);
             t = r.completeAt;
             levels.push_back(static_cast<double>(r.forwardLevel));
         }
@@ -169,13 +155,13 @@ TEST(TraceSecurity, DummyAccessesLookLikeRealOnes)
     // Collect read-leaf distributions from real vs dummy accesses;
     // both must be uniform draws.
     OramConfig cfg = smallConfig();
-    auto fx = makeShadowFixture(cfg);
+    OramStack fx(Scheme::Shadow, cfg);
     TraceRecorder rec;
-    fx->oram.setTraceSink(&rec);
+    fx.oram().setTraceSink(&rec);
     Cycles t = 0;
     for (int i = 0; i < 1500; ++i)
-        t = fx->oram.dummyAccess(t + 100);
+        t = fx.oram().dummyAccess(t + 100);
     const double chi2 = leafUniformityChi2(
-        rec.events(), 16, fx->oram.tree().numLeaves());
+        rec.events(), 16, fx.oram().tree().numLeaves());
     EXPECT_LT(chi2, 1.8);
 }

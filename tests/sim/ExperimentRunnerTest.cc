@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "SimTestUtil.hh"
 #include "sim/ExperimentRunner.hh"
 
 using namespace sboram;
+using sboram::test::expectSameMetrics;
 
 namespace {
 
@@ -42,32 +44,6 @@ samplePoints()
         }
     }
     return points;
-}
-
-void
-expectSameMetrics(const RunMetrics &a, const RunMetrics &b)
-{
-    EXPECT_EQ(a.execTime, b.execTime);
-    EXPECT_EQ(a.dataAccessTime, b.dataAccessTime);
-    EXPECT_EQ(a.driTime, b.driTime);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.dummyRequests, b.dummyRequests);
-    EXPECT_EQ(a.stashHits, b.stashHits);
-    EXPECT_EQ(a.shadowStashHits, b.shadowStashHits);
-    EXPECT_EQ(a.shadowForwards, b.shadowForwards);
-    EXPECT_EQ(a.pathReads, b.pathReads);
-    EXPECT_EQ(a.shadowsWritten, b.shadowsWritten);
-    EXPECT_EQ(a.onChipHitRate, b.onChipHitRate);
-    EXPECT_EQ(a.energy, b.energy);
-    EXPECT_EQ(a.stashPeakReal, b.stashPeakReal);
-    EXPECT_EQ(a.stashOverflows, b.stashOverflows);
-    EXPECT_EQ(a.avgForwardLevel, b.avgForwardLevel);
-    EXPECT_EQ(a.finalPartitionLevel, b.finalPartitionLevel);
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-    EXPECT_EQ(a.faultsDetected, b.faultsDetected);
-    EXPECT_EQ(a.faultsRecovered, b.faultsRecovered);
-    EXPECT_EQ(a.faultsUnrecoverable, b.faultsUnrecoverable);
-    EXPECT_EQ(a.missRetireTimes, b.missRetireTimes);
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "SimTestUtil.hh"
 #include "sim/System.hh"
 
 using namespace sboram;
@@ -131,11 +132,8 @@ TEST(System, OnChipHitRateWithinBounds)
 TEST(System, DeterministicAcrossRuns)
 {
     SystemConfig cfg = smallSystem(Scheme::Shadow);
-    RunMetrics a = runWorkload(cfg, "hmmer", kMisses, 5);
-    RunMetrics b = runWorkload(cfg, "hmmer", kMisses, 5);
-    EXPECT_EQ(a.execTime, b.execTime);
-    EXPECT_EQ(a.pathReads, b.pathReads);
-    EXPECT_EQ(a.shadowsWritten, b.shadowsWritten);
+    test::expectSameMetrics(runWorkload(cfg, "hmmer", kMisses, 5),
+                            runWorkload(cfg, "hmmer", kMisses, 5));
 }
 
 TEST(System, NoStashOverflowAcrossSchemes)

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "../oram/OramTestUtil.hh"
+#include "ServiceTestUtil.hh"
 #include "common/Errors.hh"
 #include "security/TraceRecorder.hh"
 #include "svc/Service.hh"
@@ -74,37 +75,6 @@ at(Cycles arrival, Addr addr, bool isWrite, std::uint64_t client = 0)
     return r;
 }
 
-void
-expectSameStats(const svc::ServiceStats &a,
-                const svc::ServiceStats &b)
-{
-    EXPECT_EQ(a.arrivals, b.arrivals);
-    EXPECT_EQ(a.admitted, b.admitted);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.dedupJoins, b.dedupJoins);
-    EXPECT_EQ(a.shadowEarlyCompletions, b.shadowEarlyCompletions);
-    EXPECT_EQ(a.requestsShed, b.requestsShed);
-    EXPECT_EQ(a.shedAdmission, b.shedAdmission);
-    EXPECT_EQ(a.shedDeadline, b.shedDeadline);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
-    EXPECT_EQ(a.maxQueueDepth, b.maxQueueDepth);
-    EXPECT_EQ(a.backpressureEntries, b.backpressureEntries);
-    EXPECT_EQ(a.backpressureExits, b.backpressureExits);
-    EXPECT_EQ(a.issuedAccesses, b.issuedAccesses);
-    EXPECT_EQ(a.finishTime, b.finishTime);
-    EXPECT_EQ(a.latencyP50, b.latencyP50);
-    EXPECT_EQ(a.latencyP99, b.latencyP99);
-    EXPECT_EQ(a.latencyP999, b.latencyP999);
-    EXPECT_EQ(a.latencyMax, b.latencyMax);
-    EXPECT_EQ(a.latencyMean, b.latencyMean);
-    EXPECT_EQ(a.oram.pathReads, b.oram.pathReads);
-    EXPECT_EQ(a.oram.shadowForwards, b.oram.shadowForwards);
-    EXPECT_EQ(a.oram.shadowsWritten, b.oram.shadowsWritten);
-    EXPECT_EQ(a.oram.faultsInjected, b.oram.faultsInjected);
-    EXPECT_EQ(a.oram.faultsRecovered, b.oram.faultsRecovered);
-}
-
 } // namespace
 
 TEST(Service, EveryArrivalReachesOneTerminalOutcome)
@@ -126,7 +96,7 @@ TEST(Service, SchedulingIsAPureFunctionOfTheConfig)
     // overload machinery — must agree on every stat bit for bit.
     const svc::ServiceStats a = svc::runService(overloadConfig());
     const svc::ServiceStats b = svc::runService(overloadConfig());
-    expectSameStats(a, b);
+    expectSameServiceStats(a, b);
 }
 
 TEST(Service, DedupFansOnePathReadOutToAllWaitingReaders)
@@ -282,16 +252,17 @@ TEST(Service, ControlSequenceReplayReproducesTheTraceExactly)
     ASSERT_GT(s.requestsShed, 0u);
     ASSERT_GT(s.dedupJoins, 0u);
 
-    auto replay = makeShadowFixture(cfg.oram, cfg.shadow);
+    OramStack replay(cfg.scheme, cfg.oram, cfg.shadow, cfg.dramTiming,
+                     cfg.dramGeometry);
     TraceRecorder replayTrace;
-    replay->oram.setTraceSink(&replayTrace);
+    replay.oram().setTraceSink(&replayTrace);
     Cycles t = 0;
     for (const svc::ControlRecord &rec : control) {
         if (rec.kind == svc::ControlRecord::Kind::Pressure) {
-            replay->oram.noteServicePressure(rec.pressureOn);
+            replay.oram().noteServicePressure(rec.pressureOn);
             continue;
         }
-        t = replay->oram
+        t = replay.oram()
                 .access(rec.addr,
                         rec.isWrite ? Op::Write : Op::Read, t + 100)
                 .completeAt;

@@ -1,0 +1,59 @@
+#!/bin/sh
+# Golden diff between two builds of this repository: run every
+# deterministic bench surface from both builds in quick mode and diff
+# what they print and the deterministic artifacts they write.
+#
+#     tools/golden_diff.sh <parent-build-dir> <change-build-dir>
+#
+# Each argument is a CMake build directory (the one holding bench/).
+# Surfaces: perf_smoke (its two checksum lines and checksum fields
+# only; the rest is wall time), fig08/10/13/15/16/17,
+# ablation_design_choices, stash_occupancy, security_rrwp,
+# fault_sweep, chaos_storm and service_storm.  Compared per surface:
+# exit code, stdout, and the BENCH_*.json, flightrec-*.json and
+# exemplars-*.jsonl files it writes.
+#
+# Prints nothing and exits 0 when every golden is byte-identical;
+# otherwise prints the diffs and exits 1.  Not a ctest: it needs two
+# builds.  SB_BENCH_THREADS and other SB_BENCH_* knobs pass through.
+set -eu
+
+usage="usage: golden_diff.sh <parent-build-dir> <change-build-dir>"
+A=$(cd "${1:?$usage}" && pwd)
+B=$(cd "${2:?$usage}" && pwd)
+WORK=$(mktemp -d /tmp/sbgolden-XXXXXX)
+trap 'rm -rf "$WORK"' EXIT INT TERM
+
+SURFACES="perf_smoke fig08_dup_no_tp fig10_dri_counter_width
+fig13_dup_tp fig15_slowdown_tp fig16_treetop_hitrate
+fig17_related_work ablation_design_choices stash_occupancy
+security_rrwp fault_sweep chaos_storm service_storm"
+
+# run <build-dir> <side>: every surface into $WORK/<side>/<surface>.
+run()
+{
+    for s in $SURFACES; do
+        dir="$WORK/$2/$s"
+        mkdir -p "$dir"
+        code=0
+        (cd "$dir" && SB_BENCH_QUICK=1 SB_BENCH_REGRESSION=0 \
+            "$1/bench/$s" >stdout.txt 2>stderr.txt) || code=$?
+        echo "exit $code" >"$dir/exit.txt"
+        if [ "$s" = perf_smoke ]; then
+            grep checksum "$dir/stdout.txt" |
+                sed 's/^.*checksum/checksum/' >"$dir/checksums.txt"
+            grep '"[a-z_]*checksum"' "$dir/BENCH_perf.json" \
+                >>"$dir/checksums.txt" || true
+            rm -f "$dir/stdout.txt" "$dir/BENCH_perf.json"
+        fi
+        # Manifests, traces, checkpoint dirs and stderr carry wall
+        # times and paths; only the deterministic files stay.
+        find "$dir" -mindepth 1 \( -name stderr.txt -o -name 'manifest-*' \
+            -o -name 'trace-*' -o -type d \) -prune -exec rm -rf {} +
+    done
+}
+
+run "$A" parent
+run "$B" change
+
+diff -r "$WORK/parent" "$WORK/change"
