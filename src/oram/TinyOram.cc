@@ -68,20 +68,18 @@ TinyOram::setObserver(obs::RunObserver *obs)
     }
     _faults->setObserver([this](FaultKind, std::uint64_t,
                                 bool reapplied) {
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
-            t->instant(_obsPathTrack,
-                       reapplied ? "fault_stuck_reapplied"
-                                 : "fault_injected",
-                       _obsPathStart);
+        traceInstant(_obsPathTrack,
+                     reapplied ? "fault_stuck_reapplied"
+                               : "fault_injected",
+                     _obsPathStart);
     });
 }
 
-std::vector<std::uint64_t>
-TinyOram::patternPayload(Addr addr, std::uint32_t version) const
+void
+TinyOram::traceInstant(unsigned track, const char *name, Cycles ts) const
 {
-    std::vector<std::uint64_t> words;
-    patternPayloadInto(addr, version, words);
-    return words;
+    if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
+        t->instant(track, name, ts);
 }
 
 void
@@ -139,7 +137,7 @@ TinyOram::initializeTree()
             e.version = 0;
             e.type = BlockType::Real;
             if (_cfg.payloadEnabled)
-                e.payload = patternPayload(addr, 0);
+                patternPayloadInto(addr, 0, e.payload);
             _stash.insert(std::move(e));
             _realLevel[addr] = kInStash;
         }
@@ -377,7 +375,6 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
             if (mode == ReadMode::Dummy)
                 continue;  // Contents discarded, tree untouched.
 
-            const std::uint64_t slotIdx = _tree.slotIndex(b, s);
             const bool consume =
                 mode == ReadMode::Evict ||
                 (mode == ReadMode::Request && slot.addr == wantAddr);
@@ -386,118 +383,148 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
 
             if (!consume && !copyShadow)
                 continue;  // RAW read-only: leave other blocks alone.
-
-            StashEntry e;
-            e.addr = slot.addr;
-            e.leaf = slot.leaf;
-            e.version = slot.version;
-            e.type = slot.type;
-            if (_cfg.payloadEnabled) {
-                // Decrypt into a pooled buffer (verifyDecrypt reuses
-                // its capacity) instead of allocating per block.
-                e.payload = _payloadPool.acquire(_cfg.blockBytes / 8);
-                // Integrity verification (Tiny ORAM baseline [18]).
-                // A failed tag on a *shadow* copy is harmless — the
-                // real copy is authoritative — so the slot is simply
-                // dropped.  A failed tag on a *real* copy triggers
-                // self-healing: rebuild the payload from a
-                // same-version shadow copy (the duplication the
-                // policies maintain for latency doubles as
-                // redundancy) before declaring the block lost.
-                // Tier-1 spare store: a remapped cell's authoritative
-                // copy lives on chip — the bad ciphertext stripe is
-                // never read, so it can neither fault nor need
-                // healing.  Consumption retires the parked copy; a
-                // non-consuming shadow copy leaves it in place.
-                if (auto sp = _spare.find(slotIdx);
-                    sp != _spare.end()) {
-                    e.payload.assign(sp->second.begin(),
-                                     sp->second.end());
-                    if (consume)
-                        _spare.erase(sp);
-                }
-                else if (!_codec.verifyDecrypt(
-                        _tree.cipherView(slotIdx), e.payload)) {
-                    ++_stats.faultsDetected;
-                    if (obs::TraceSession *t =
-                            _obs ? _obs->trace() : nullptr)
-                        t->instant(_obsPathTrack, "fault_detected",
-                                   ready);
-                    // Tier-1 bookkeeping: repeated detected failures
-                    // of one physical slot quarantine it.
-                    if (_health.recordSlotFailure(slotIdx)) {
-                        ++_stats.slotsQuarantined;
-                        if (_flight != nullptr)
-                            _flight->record(
-                                ready,
-                                obs::FlightKind::SlotQuarantine,
-                                slotIdx);
-                        if (obs::TraceSession *t2 =
-                                _obs ? _obs->trace() : nullptr)
-                            t2->instant(_obsPathTrack,
-                                        "slot_quarantined", ready);
-                    }
-                    if (slot.isShadow()) {
-                        ++_stats.faultsRecovered;
-                        if (obs::TraceSession *t =
-                                _obs ? _obs->trace() : nullptr)
-                            t->instant(_obsPathTrack,
-                                       "fault_recovered", ready);
-                        _payloadPool.release(std::move(e.payload));
-                        slot.clear();
-                        _tree.eraseCipher(slotIdx);
-                        continue;
-                    }
-                    if (recoverRealPayload(slot, level, leaf,
-                                           e.payload)) {
-                        ++_stats.faultsRecovered;
-                        if (obs::TraceSession *t =
-                                _obs ? _obs->trace() : nullptr)
-                            t->instant(_obsPathTrack,
-                                       "fault_recovered", ready);
-                    } else {
-                        ++_stats.faultsUnrecoverable;
-                        if (obs::TraceSession *t =
-                                _obs ? _obs->trace() : nullptr)
-                            t->instant(_obsPathTrack,
-                                       "fault_unrecoverable", ready);
-                        // sblint:allow-next-line(hot-path-alloc): unrecoverable-fault exit — formats the fatal diagnostic once, then the ladder unwinds; never on a healthy access
-                        handleUnrecoverable(slot, b, level,
-                                            e.payload);
-                    }
-                }
-            }
-            if (mode == ReadMode::Evict && e.isShadow()) {
-                // Keep eviction-path shadows in the path buffer for
-                // the imminent path write (deduplicated by address).
-                bool seen = false;
-                for (const StashEntry &buf : _evictShadows) {
-                    if (buf.addr == e.addr) {
-                        seen = true;
-                        break;
-                    }
-                }
-                if (!seen)
-                    _evictShadows.push_back(std::move(e));
-                else
-                    _payloadPool.release(std::move(e.payload));
-            } else {
-                // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
-                _stash.insert(std::move(e));
-            }
-
-            if (consume) {
-                if (slot.isReal())
-                    _realLevel[slot.addr] = kInStash;
-                slot.clear();
-                if (_cfg.payloadEnabled)
-                    _tree.eraseCipher(slotIdx);
-            }
-            // copyShadow without consume: the tree copy stays valid;
-            // the stash now holds an identical (replaceable) copy.
+            takeSlot(slot, b, s, level, leaf, mode, consume, ready);
         }
     }
     return out;
+}
+
+SB_HOT void
+TinyOram::takeSlot(Slot &slot, BucketIndex b, unsigned s, unsigned level,
+                   LeafLabel leaf, ReadMode mode, bool consume,
+                   Cycles ready)
+{
+    const std::uint64_t slotIdx = _tree.slotIndex(b, s);
+    StashEntry e;
+    e.addr = slot.addr;
+    e.leaf = slot.leaf;
+    e.version = slot.version;
+    e.type = slot.type;
+    if (_cfg.payloadEnabled) {
+        // Decrypt into a pooled buffer (verifyDecrypt reuses its
+        // capacity) instead of allocating per block.
+        e.payload = _payloadPool.acquire(_cfg.blockBytes / 8);
+        // Tier-1 spare store: a remapped cell's authoritative copy
+        // lives on chip — the bad ciphertext stripe is never read, so
+        // it can neither fault nor need healing.  Consumption retires
+        // the parked copy; a non-consuming shadow copy leaves it in
+        // place.  Otherwise verify the integrity tag (Tiny ORAM
+        // baseline [18]).
+        if (auto sp = _spare.find(slotIdx); sp != _spare.end()) {
+            e.payload.assign(sp->second.begin(), sp->second.end());
+            if (consume)
+                _spare.erase(sp);
+        } else if (!_codec.verifyDecrypt(_tree.cipherView(slotIdx),
+                                         e.payload)) {
+            healCorruptRead(slot, slotIdx, b, level, leaf, ready,
+                            e.payload);
+            if (!slot.valid()) {
+                // A corrupt shadow: its slot is already reclaimed.
+                _payloadPool.release(std::move(e.payload));
+                return;
+            }
+        }
+    }
+    if (mode == ReadMode::Evict && e.isShadow()) {
+        // Keep eviction-path shadows in the path buffer for the
+        // imminent path write (deduplicated by address).
+        bool seen = false;
+        for (const StashEntry &buf : _evictShadows) {
+            if (buf.addr == e.addr) {
+                seen = true;
+                break;
+            }
+        }
+        if (!seen)
+            _evictShadows.push_back(std::move(e));
+        else
+            _payloadPool.release(std::move(e.payload));
+    } else {
+        // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
+        _stash.insert(std::move(e));
+    }
+
+    if (consume) {
+        if (slot.isReal())
+            _realLevel[slot.addr] = kInStash;
+        slot.clear();
+        if (_cfg.payloadEnabled)
+            _tree.eraseCipher(slotIdx);
+    }
+    // copyShadow without consume: the tree copy stays valid; the
+    // stash now holds an identical (replaceable) copy.
+}
+
+SB_HOT void
+TinyOram::healCorruptRead(Slot &slot, std::uint64_t slotIdx,
+                          BucketIndex b, unsigned level, LeafLabel leaf,
+                          Cycles ready,
+                          std::vector<std::uint64_t> &payload)
+{
+    // A failed tag on a *shadow* copy is harmless — the real copy is
+    // authoritative — so the slot is simply dropped.  A failed tag on
+    // a *real* copy triggers self-healing: rebuild the payload from a
+    // same-version shadow copy (the duplication the policies maintain
+    // for latency doubles as redundancy) before declaring the block
+    // lost.
+    const bool shadow = slot.isShadow();
+    traceInstant(_obsPathTrack, "fault_detected", ready);
+    if (recordCorruptSlot(slot, slotIdx, ready))
+        traceInstant(_obsPathTrack, "slot_quarantined", ready);
+    if (shadow) {
+        traceInstant(_obsPathTrack, "fault_recovered", ready);
+    } else if (recoverRealPayload(slot, level, leaf, payload)) {
+        ++_stats.faultsRecovered;
+        traceInstant(_obsPathTrack, "fault_recovered", ready);
+    } else {
+        ++_stats.faultsUnrecoverable;
+        traceInstant(_obsPathTrack, "fault_unrecoverable", ready);
+        // sblint:allow-next-line(hot-path-alloc): unrecoverable-fault exit — formats the fatal diagnostic once, then the ladder unwinds; never on a healthy access
+        handleUnrecoverable(slot, b, level, payload);
+    }
+}
+
+bool
+TinyOram::recordCorruptSlot(Slot &slot, std::uint64_t slotIdx, Cycles at)
+{
+    ++_stats.faultsDetected;
+    // Tier-1 bookkeeping: repeated detected failures of one physical
+    // slot quarantine it.
+    const bool quarantined = _health.recordSlotFailure(slotIdx);
+    if (quarantined) {
+        ++_stats.slotsQuarantined;
+        if (_flight != nullptr)
+            _flight->record(at, obs::FlightKind::SlotQuarantine,
+                            slotIdx);
+    }
+    if (slot.isShadow()) {
+        // A corrupt shadow is a lost redundant copy, never lost data:
+        // reclaim the slot.
+        ++_stats.faultsRecovered;
+        slot.clear();
+        _tree.eraseCipher(slotIdx);
+    }
+    return quarantined;
+}
+
+void
+TinyOram::parkInSpare(std::uint64_t slotIdx,
+                      const std::vector<std::uint64_t> &plain)
+{
+    _spare[slotIdx].assign(plain.begin(),
+                           plain.begin() + _cfg.blockBytes / 8);
+    _tree.eraseCipher(slotIdx);
+    ++_stats.quarantineEvacuations;
+}
+
+bool
+TinyOram::reapplyStuckCell(std::uint64_t slotIdx)
+{
+    if (!_faults ||
+        !_faults->onSlotRewritten(slotIdx, _tree.cipherRef(slotIdx)))
+        return false;
+    ++_stats.faultsInjected;
+    return true;
 }
 
 SB_HOT Cycles
@@ -511,81 +538,97 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
         _obsPathStart = startTime;
     }
     _policy->beginPathWrite(leaf);
-
-    const unsigned ttl = _cfg.treetopLevels;
     _tree.bucketsOnPath(leaf, _pathBuckets);
-    std::vector<DramCoord> &coords = _writeCoords;
-    coords.clear();
 
-    // Payloads of duplication candidates (blocks placed in this path
-    // write and offered stash shadows), so shadow slots can be
-    // filled with real data in payload mode.  The buffers live in
-    // _placedBufs (capacity reused write after write); _placedIdx
-    // maps address -> dense buffer slot + 1 for the duration of this
-    // write (reset at the end via _placedAddrs).
     SB_ASSERT(_pendingEnc.empty() && _placedAddrs.empty(),
               "path-write scratch not drained");
-    auto placedBufIdx = [&](Addr addr) -> std::uint32_t {
-        std::uint32_t &ref = _placedIdx[addr];
-        if (ref == 0) {
-            const std::size_t idx = _placedAddrs.size();
-            // Grow the cache against its own high-water counter, not
-            // _placedBufs.size(): the buffers hold payload words, and
-            // occupancy is placement bookkeeping that must stay
-            // independent of them.
-            if (_placedBufsMade <= idx) {
-                _placedBufs.emplace_back();
-                ++_placedBufsMade;
-            }
-            _placedAddrs.push_back(addr);
-            ref = static_cast<std::uint32_t>(idx) + 1;
-        }
-        return ref - 1;
-    };
+    if (_cfg.recirculateShadows)
+        offerShadows(leaf);
+    placeGreedy(leaf);
+    fillShadows();
+    encryptPending();
+    returnUnplacedShadows();
 
-    // Shadow copies sitting in the stash are offered to the
-    // duplication policy: Rule-1 bounds them by their label's common
-    // prefix with this path, Rule-2 by their real copy's tree level.
-    if (_cfg.recirculateShadows) {
-        // Offer in seq order (forEachShadow's order): the offer
-        // order decides which candidates the duplication queues pop
-        // first.
-        _stash.forEachShadow([&](const StashEntry &e) {
-            const std::uint8_t realLvl = _realLevel[e.addr];
-            SB_ASSERT(realLvl != kInStash,
-                      "stash shadow coexists with a stash real copy");
-            const unsigned maxLevel = std::min<unsigned>(
-                _tree.commonLevel(e.leaf, leaf), realLvl);
-            if (_cfg.payloadEnabled)
-                _placedBufs[placedBufIdx(e.addr)] = e.payload;
-            _policy->offerStashShadow(e.addr, e.leaf, e.version,
-                                      realLvl, maxLevel);
-        });
+    _policy->endPathWrite();
 
-        // Shadows vacuumed by this eviction's path read circulate
-        // the same way.  If the real copy came off this same path
-        // into the stash, its final location is only known after the
-        // greedy placements, so the offer uses the label bound and
-        // the write pass re-checks Rule-2 before committing a slot.
-        for (const StashEntry &e : _evictShadows) {
-            const std::uint8_t realLvl = _realLevel[e.addr];
-            const bool realInStash = realLvl == kInStash;
-            const unsigned rearLevel =
-                realInStash ? _geo.leafLevel : realLvl;
-            const unsigned maxLevel = std::min<unsigned>(
-                _tree.commonLevel(e.leaf, leaf),
-                realInStash ? _geo.leafLevel + 1 : realLvl);
-            if (_cfg.payloadEnabled)
-                _placedBufs[placedBufIdx(e.addr)] = e.payload;
-            _policy->offerStashShadow(e.addr, e.leaf, e.version,
-                                      rearLevel, maxLevel);
-        }
+    BatchTiming batch = _dram.accessBatch(
+        startTime + _cfg.aesLatency, _writeCoords, true);
+    const Cycles done =
+        std::max(batch.finish, startTime + _cfg.onChipLatency);
+    if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr) {
+        // The modelled crypto phase: the whole path is re-encrypted
+        // (one batch keystream pass) before the burst leaves the chip.
+        t->complete(obs::kTrackEviction, "crypto", startTime,
+                    _cfg.aesLatency);
+        t->complete(obs::kTrackEviction, "path_write", startTime,
+                    done - startTime);
     }
+    return done;
+}
 
+std::uint32_t
+TinyOram::placedBufIdx(Addr addr)
+{
+    std::uint32_t &ref = _placedIdx[addr];
+    if (ref == 0) {
+        const std::size_t idx = _placedAddrs.size();
+        // Grow the cache against its own high-water counter, not
+        // _placedBufs.size(): the buffers hold payload words, and
+        // occupancy is placement bookkeeping that must stay
+        // independent of them.
+        if (_placedBufsMade <= idx) {
+            _placedBufs.emplace_back();
+            ++_placedBufsMade;
+        }
+        _placedAddrs.push_back(addr);
+        ref = static_cast<std::uint32_t>(idx) + 1;
+    }
+    return ref - 1;
+}
+
+SB_HOT void
+TinyOram::offerShadows(LeafLabel leaf)
+{
+    // Rule-1 bounds each offer by the shadow's label's common prefix
+    // with this path, Rule-2 by its real copy's tree level.  A shadow
+    // vacuumed by this eviction's path read may have had its real copy
+    // come off this same path into the stash; that copy's final
+    // location is only known after the greedy placements, so the offer
+    // uses the label bound and the shadow-fill pass re-checks Rule-2
+    // before committing a slot.
+    auto offer = [&](const StashEntry &e) {
+        const std::uint8_t realLvl = _realLevel[e.addr];
+        const bool realInStash = realLvl == kInStash;
+        const unsigned rearLevel =
+            realInStash ? _geo.leafLevel : realLvl;
+        const unsigned maxLevel = std::min<unsigned>(
+            _tree.commonLevel(e.leaf, leaf),
+            realInStash ? _geo.leafLevel + 1 : realLvl);
+        if (_cfg.payloadEnabled)
+            _placedBufs[placedBufIdx(e.addr)] = e.payload;
+        _policy->offerStashShadow(e.addr, e.leaf, e.version,
+                                  rearLevel, maxLevel);
+    };
+    // Stash shadows first, in seq order (forEachShadow's order): the
+    // offer order decides which candidates the duplication queues pop
+    // first.
+    _stash.forEachShadow([&](const StashEntry &e) {
+        SB_ASSERT(_realLevel[e.addr] != kInStash,
+                  "stash shadow coexists with a stash real copy");
+        offer(e);
+    });
+    for (const StashEntry &e : _evictShadows)
+        offer(e);
+}
+
+SB_HOT void
+TinyOram::placeGreedy(LeafLabel leaf)
+{
     // Pass 1 — plan and perform the greedy placements, leaf to root
-    // (deepest-possible placement), collecting the dummy slots.
-    std::vector<DummySlot> &dummies = _dummyScratch;
-    dummies.clear();
+    // (deepest-possible placement), collecting the dummy slots and
+    // the DRAM write coordinates.
+    _dummyScratch.clear();
+    _writeCoords.clear();
 
     // One bucketing pass + one sort for the whole eviction: each
     // entry's common-prefix level with this path is computed once,
@@ -605,10 +648,10 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
 
         // Tier-1 note: quarantined slots stay full-fledged placement
         // targets.  Their payloads are diverted into the on-chip
-        // spare store at the batch-crypto step below, so quarantine
-        // never shrinks capacity — capacity loss would retain blocks
-        // in the stash and leak fault state through the stash-hit
-        // pattern (see FaultObliviousnessTest).
+        // spare store by the encrypt phase, so quarantine never
+        // shrinks capacity — capacity loss would retain blocks in the
+        // stash and leak fault state through the stash-hit pattern
+        // (see FaultObliviousnessTest).
         unsigned slotCursor = 0;
         plan.forEachEligible(level, [&](Stash::PlanEntry &cand) {
             if (slotCursor >= _cfg.slotsPerBucket)
@@ -616,8 +659,8 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             if (cand.shadow) {
                 // Stash shadows are not placed greedily (that would
                 // sink them right back next to their real copy);
-                // they re-enter the tree through the duplication
-                // pass below, which puts them where they help.
+                // they re-enter the tree through the shadow-fill
+                // pass, which puts them where they help.
                 return true;
             }
             StashEntry *entry = _stash.find(cand.addr);
@@ -633,8 +676,8 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             _tree.slot(b, slotCursor) = value;
             if (_cfg.payloadEnabled) {
                 // The entry leaves the stash right below; hand its
-                // buffer to the duplication pass instead of copying,
-                // and defer the encryption to the batch-crypto step
+                // buffer to the shadow-fill pass instead of copying,
+                // and defer the encryption to the encrypt phase
                 // (nonce order is the pending-record order, which
                 // matches the per-slot encrypt order this replaces).
                 const std::uint32_t bi = placedBufIdx(entry->addr);
@@ -661,31 +704,27 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
         });
 
         for (; slotCursor < _cfg.slotsPerBucket; ++slotCursor)
-            dummies.push_back(DummySlot{b, slotCursor, level});
+            _dummyScratch.push_back(DummySlot{b, slotCursor, level});
 
         // DRAM writes for off-chip levels, leaf to root order.
-        if (level >= ttl) {
+        if (level >= _cfg.treetopLevels) {
             for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s)
-                coords.push_back(_addressMap.mapSlot(b, s));
+                _writeCoords.push_back(_addressMap.mapSlot(b, s));
         }
     }
+}
 
+SB_HOT void
+TinyOram::fillShadows()
+{
     // Pass 2 — fill dummy slots, root side first, so the rear-most
     // candidates land in the slots that advance them the furthest
     // (Algorithm 1, line 4).  All of this happens inside the
     // controller before the re-encrypted path leaves the chip, so
     // the assignment order is externally invisible.
     _evictShadowPlaced.assign(_evictShadows.size(), 0);
-    auto markBufferedPlaced = [&](Addr addr) {
-        for (std::size_t i = 0; i < _evictShadows.size(); ++i) {
-            if (_evictShadows[i].addr == addr) {
-                _evictShadowPlaced[i] = 1;
-                return;
-            }
-        }
-    };
-
-    for (auto it = dummies.rbegin(); it != dummies.rend(); ++it) {
+    for (auto it = _dummyScratch.rbegin(); it != _dummyScratch.rend();
+         ++it) {
         Slot &slot = _tree.slot(it->bucket, it->slot);
         const std::uint64_t slotIdx =
             _tree.slotIndex(it->bucket, it->slot);
@@ -716,7 +755,12 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             if (choice->releaseStashCopy)
                 // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
                 _stash.dropShadowOf(choice->addr);
-            markBufferedPlaced(choice->addr);
+            for (std::size_t i = 0; i < _evictShadows.size(); ++i) {
+                if (_evictShadows[i].addr == choice->addr) {
+                    _evictShadowPlaced[i] = 1;
+                    break;
+                }
+            }
             if (_cfg.payloadEnabled) {
                 const std::uint32_t ref = _placedIdx[choice->addr];
                 SB_ASSERT(ref != 0,
@@ -728,10 +772,14 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             _spare.erase(slotIdx);
         }
     }
+}
 
-    // Batch-crypto step: one keystream pass re-encrypts every slot
-    // this write placed (pass-1 reals and pass-2 shadows — the slot
-    // sets are disjoint, so each slot is encrypted exactly once).
+SB_HOT void
+TinyOram::encryptPending()
+{
+    // Batch crypto: one keystream pass re-encrypts every slot this
+    // write placed (pass-1 reals and pass-2 shadows — the slot sets
+    // are disjoint, so each slot is encrypted exactly once).
     // Deferring the per-slot encryptions here keeps the placement
     // loops branch-light and lets the codec amortise the PRF setup.
     if (_cfg.payloadEnabled && !_pendingEnc.empty()) {
@@ -751,12 +799,7 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             // placement itself — and therefore stash occupancy and
             // the external trace — is identical to a healthy slot's.
             if (qActive && _health.isQuarantined(pe.slotIdx)) {
-                const std::vector<std::uint64_t> &buf =
-                    _placedBufs[pe.bufIdx];
-                _spare[pe.slotIdx].assign(buf.begin(),
-                                          buf.begin() + words);
-                _tree.eraseCipher(pe.slotIdx);
-                ++_stats.quarantineEvacuations;
+                parkInSpare(pe.slotIdx, _placedBufs[pe.bufIdx]);
                 continue;
             }
             _encPlains.push_back(_placedBufs[pe.bufIdx].data());
@@ -776,19 +819,19 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
         // equivalent to interleaving them with per-slot encrypts.
         // Parked slots are skipped — their cells were not rewritten.
         for (const PendingEncrypt &pe : _pendingEnc) {
-            if (qActive && _health.isQuarantined(pe.slotIdx))
-                continue;
-            if (_faults &&
-                _faults->onSlotRewritten(pe.slotIdx,
-                                         _tree.cipherRef(pe.slotIdx)))
-                ++_stats.faultsInjected;
+            if (!qActive || !_health.isQuarantined(pe.slotIdx))
+                reapplyStuckCell(pe.slotIdx);
         }
     }
     _pendingEnc.clear();
     for (Addr a : _placedAddrs)
         _placedIdx[a] = 0;
     _placedAddrs.clear();
+}
 
+SB_HOT void
+TinyOram::returnUnplacedShadows()
+{
     // Buffered shadows that were not re-placed fall back into the
     // stash (replaceable), where merging and LFU displacement apply.
     for (std::size_t i = 0; i < _evictShadows.size(); ++i) {
@@ -800,22 +843,6 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
             _payloadPool.release(std::move(e.payload));
     }
     _evictShadows.clear();
-
-    _policy->endPathWrite();
-
-    BatchTiming batch = _dram.accessBatch(
-        startTime + _cfg.aesLatency, coords, true);
-    const Cycles done =
-        std::max(batch.finish, startTime + _cfg.onChipLatency);
-    if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr) {
-        // The modelled crypto phase: the whole path is re-encrypted
-        // (one batch keystream pass) before the burst leaves the chip.
-        t->complete(obs::kTrackEviction, "crypto", startTime,
-                    _cfg.aesLatency);
-        t->complete(obs::kTrackEviction, "path_write", startTime,
-                    done - startTime);
-    }
-    return done;
 }
 
 Cycles
@@ -851,8 +878,7 @@ TinyOram::applyBackpressure(Cycles time)
             _flight->record(time, obs::FlightKind::DegradedEnter,
                             _stash.realCount());
         obs::forensics().degraded.store(1);
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
-            t->instant(obs::kTrackEviction, "degraded_enter", time);
+        traceInstant(obs::kTrackEviction, "degraded_enter", time);
     }
     if (_health.degraded()) {
         // One emergency background sweep per access while degraded:
@@ -876,8 +902,7 @@ TinyOram::applyBackpressure(Cycles time)
             _flight->record(time, obs::FlightKind::DegradedExit,
                             _stash.realCount());
         obs::forensics().degraded.store(0);
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
-            t->instant(obs::kTrackEviction, "degraded_exit", time);
+        traceInstant(obs::kTrackEviction, "degraded_exit", time);
     }
     return time;
 }
@@ -894,106 +919,49 @@ TinyOram::scrubStorage()
 {
     if (!_cfg.payloadEnabled)
         return true;
+    // Scrubs run between accesses, so the eviction buffer is empty and
+    // recoverRealPayload's path-local search sees every copy: a real
+    // slot lies on its own label's path (invariant 1), with all of its
+    // tree shadows above it (Rule-2).
+    SB_ASSERT(_evictShadows.empty(), "scrub inside a path access");
     bool clean = true;
     std::vector<std::uint64_t> plain;
     for (BucketIndex b = 0; b < _tree.numBuckets(); ++b) {
         for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s) {
             Slot &slot = _tree.slot(b, s);
-            if (!slot.valid())
-                continue;
             const std::uint64_t slotIdx = _tree.slotIndex(b, s);
             // Parked slots hold no ciphertext — the on-chip spare
             // copy is authoritative and cannot corrupt.
-            if (_spare.count(slotIdx))
+            if (!slot.valid() || _spare.count(slotIdx) ||
+                _codec.verify(_tree.cipherView(slotIdx)))
                 continue;
-            if (_codec.verify(_tree.cipherView(slotIdx)))
-                continue;
-
-            if (slot.isShadow()) {
-                // A corrupt shadow is a lost redundant copy, never
-                // lost data: reclaim the slot (same disposition the
-                // read path applies).
-                ++_stats.faultsDetected;
-                ++_stats.faultsRecovered;
-                if (_health.recordSlotFailure(slotIdx)) {
-                    ++_stats.slotsQuarantined;
-                    if (_flight != nullptr)
-                        _flight->record(
-                            _freeAt,
-                            obs::FlightKind::SlotQuarantine,
-                            slotIdx);
-                }
-                slot.clear();
-                _tree.eraseCipher(slotIdx);
-                continue;
-            }
-
-            // Corrupt real block: heal from a same-version shadow —
-            // the stash may hold one, or any surviving tree shadow
-            // (Rule-1 keeps them on the block's own path, but the
-            // scrub walks everything anyway).
-            bool healed = false;
-            if (const StashEntry *sh = _stash.find(slot.addr);
-                sh && sh->isShadow() && sh->version == slot.version) {
-                plain = sh->payload;
-                healed = true;
-            }
-            for (BucketIndex b2 = 0; !healed && b2 < _tree.numBuckets();
-                 ++b2) {
-                for (unsigned s2 = 0; s2 < _cfg.slotsPerBucket; ++s2) {
-                    const Slot &cand = _tree.slot(b2, s2);
-                    if (!cand.isShadow() || cand.addr != slot.addr ||
-                        cand.version != slot.version)
-                        continue;
-                    const std::uint64_t candIdx =
-                        _tree.slotIndex(b2, s2);
-                    if (auto sp = _spare.find(candIdx);
-                        sp != _spare.end()) {
-                        plain = sp->second;
-                        healed = true;
-                        break;
-                    }
-                    if (_codec.verifyDecrypt(_tree.cipherView(candIdx),
-                                             plain)) {
-                        healed = true;
-                        break;
-                    }
-                }
-            }
-            if (!healed) {
+            const bool real = slot.isReal();
+            if (real && !recoverRealPayload(slot, AddressMap::levelOf(b),
+                                            slot.leaf, plain)) {
                 // Leave the slot untouched — the next path read of it
                 // performs the full detection/unrecoverable
                 // accounting exactly once.
                 clean = false;
                 continue;
             }
-            ++_stats.faultsDetected;
+            // Same disposition as the read path: a corrupt shadow is
+            // reclaimed, a healed real rewritten or parked.
+            recordCorruptSlot(slot, slotIdx, _freeAt);
+            if (!real)
+                continue;
             ++_stats.faultsRecovered;
-            if (_health.recordSlotFailure(slotIdx)) {
-                ++_stats.slotsQuarantined;
-                if (_flight != nullptr)
-                    _flight->record(_freeAt,
-                                    obs::FlightKind::SlotQuarantine,
-                                    slotIdx);
-            }
             if (_health.quarantineActive() &&
                 _health.isQuarantined(slotIdx)) {
                 // The cell just crossed the quarantine threshold (or
                 // already had): park the healed payload on chip
                 // instead of rewriting the bad stripe.
-                _spare[slotIdx] = plain;
-                _tree.eraseCipher(slotIdx);
-                ++_stats.quarantineEvacuations;
+                parkInSpare(slotIdx, plain);
                 continue;
             }
             _codec.encryptRef(plain.data(), _tree.cipherRef(slotIdx));
-            if (_faults &&
-                _faults->onSlotRewritten(slotIdx,
-                                         _tree.cipherRef(slotIdx))) {
-                // A stuck cell re-corrupted the healed rewrite.
-                ++_stats.faultsInjected;
+            // A stuck cell may re-corrupt the healed rewrite.
+            if (reapplyStuckCell(slotIdx))
                 clean = false;
-            }
         }
     }
     return clean;
@@ -1023,16 +991,8 @@ TinyOram::accessOne(Addr addr, Cycles startTime, Op op,
 
     // Apply a write now — the eviction below may push the block
     // straight back into the tree.
-    if (op == Op::Write) {
-        ++entry->version;
-        if (_cfg.payloadEnabled) {
-            if (writeData)
-                entry->payload = *writeData;
-            else
-                patternPayloadInto(addr, entry->version,
-                                   entry->payload);
-        }
-    }
+    if (op == Op::Write)
+        applyWrite(*entry, writeData);
 
     res.forwardAt = read.forwardAt;
     res.forwardLevel = read.forwardLevel;
@@ -1042,9 +1002,8 @@ TinyOram::accessOne(Addr addr, Cycles startTime, Op op,
     if (read.usedShadow) {
         ++_stats.shadowForwards;
         SB_ASSERT(_geo.leafLevel >= read.forwardLevel, "level");
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
-            t->instant(obs::kTrackPipeline, "shadow_forward",
-                       read.forwardAt);
+        traceInstant(obs::kTrackPipeline, "shadow_forward",
+                     read.forwardAt);
     }
 
     ++_accessCounter;
@@ -1052,6 +1011,19 @@ TinyOram::accessOne(Addr addr, Cycles startTime, Op op,
     res.completeAt = maybeEvict(read.finish);
     res.completeAt = applyBackpressure(res.completeAt);
     return res;
+}
+
+void
+TinyOram::applyWrite(StashEntry &e,
+                     const std::vector<std::uint64_t> *writeData)
+{
+    ++e.version;
+    if (!_cfg.payloadEnabled)
+        return;
+    if (writeData)
+        e.payload = *writeData;
+    else
+        patternPayloadInto(e.addr, e.version, e.payload);
 }
 
 AccessResult
@@ -1084,18 +1056,9 @@ TinyOram::access(Addr addr, Op op, Cycles issueTime,
         ++_stats.onChipHits;
         if (hit->isShadow())
             ++_stats.shadowStashHits;
-        if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr)
-            t->instant(obs::kTrackPipeline, "stash_hit", issueTime);
-        if (op == Op::Write) {
-            ++hit->version;
-            if (_cfg.payloadEnabled) {
-                if (writeData)
-                    hit->payload = *writeData;
-                else
-                    patternPayloadInto(addr, hit->version,
-                                       hit->payload);
-            }
-        }
+        traceInstant(obs::kTrackPipeline, "stash_hit", issueTime);
+        if (op == Op::Write)
+            applyWrite(*hit, writeData);
         return res;
     }
     // A write hitting only a shadow copy must fetch the real block:
@@ -1186,6 +1149,21 @@ TinyOram::peekPayload(Addr addr) const
 
 namespace {
 
+/** Every OramStats counter, in snapshot order. */
+constexpr std::uint64_t OramStats::*kStatFields[] = {
+    &OramStats::requests,        &OramStats::stashHits,
+    &OramStats::shadowStashHits, &OramStats::onChipHits,
+    &OramStats::shadowForwards,  &OramStats::pathReads,
+    &OramStats::pathWrites,      &OramStats::dummyAccesses,
+    &OramStats::posMapAccesses,  &OramStats::shadowsWritten,
+    &OramStats::evictions,       &OramStats::levelsAdvanced,
+    &OramStats::faultsInjected,  &OramStats::faultsDetected,
+    &OramStats::faultsRecovered, &OramStats::faultsUnrecoverable,
+    &OramStats::slotsQuarantined, &OramStats::quarantineEvacuations,
+    &OramStats::degradedEntries, &OramStats::degradedTicks,
+    &OramStats::emergencyEvictions,
+};
+
 void
 saveStashEntry(ckpt::Serializer &out, const StashEntry &e)
 {
@@ -1229,27 +1207,8 @@ TinyOram::saveState(ckpt::Serializer &out) const
     for (std::uint64_t w : rng)
         out.u64(w);
 
-    out.u64(_stats.requests);
-    out.u64(_stats.stashHits);
-    out.u64(_stats.shadowStashHits);
-    out.u64(_stats.onChipHits);
-    out.u64(_stats.shadowForwards);
-    out.u64(_stats.pathReads);
-    out.u64(_stats.pathWrites);
-    out.u64(_stats.dummyAccesses);
-    out.u64(_stats.posMapAccesses);
-    out.u64(_stats.shadowsWritten);
-    out.u64(_stats.evictions);
-    out.u64(_stats.levelsAdvanced);
-    out.u64(_stats.faultsInjected);
-    out.u64(_stats.faultsDetected);
-    out.u64(_stats.faultsRecovered);
-    out.u64(_stats.faultsUnrecoverable);
-    out.u64(_stats.slotsQuarantined);
-    out.u64(_stats.quarantineEvacuations);
-    out.u64(_stats.degradedEntries);
-    out.u64(_stats.degradedTicks);
-    out.u64(_stats.emergencyEvictions);
+    for (auto field : kStatFields)
+        out.u64(_stats.*field);
 
     out.vecU8(_realLevel);
 
@@ -1292,27 +1251,8 @@ TinyOram::loadState(ckpt::Deserializer &in)
         w = in.u64();
     _dummyRng.setStateWords(rng);
 
-    _stats.requests = in.u64();
-    _stats.stashHits = in.u64();
-    _stats.shadowStashHits = in.u64();
-    _stats.onChipHits = in.u64();
-    _stats.shadowForwards = in.u64();
-    _stats.pathReads = in.u64();
-    _stats.pathWrites = in.u64();
-    _stats.dummyAccesses = in.u64();
-    _stats.posMapAccesses = in.u64();
-    _stats.shadowsWritten = in.u64();
-    _stats.evictions = in.u64();
-    _stats.levelsAdvanced = in.u64();
-    _stats.faultsInjected = in.u64();
-    _stats.faultsDetected = in.u64();
-    _stats.faultsRecovered = in.u64();
-    _stats.faultsUnrecoverable = in.u64();
-    _stats.slotsQuarantined = in.u64();
-    _stats.quarantineEvacuations = in.u64();
-    _stats.degradedEntries = in.u64();
-    _stats.degradedTicks = in.u64();
-    _stats.emergencyEvictions = in.u64();
+    for (auto field : kStatFields)
+        _stats.*field = in.u64();
 
     std::vector<std::uint8_t> realLevel = in.vecU8();
     if (realLevel.size() != _realLevel.size())

@@ -268,9 +268,31 @@ class TinyOram
 
     SB_HOT PathReadOutcome pathRead(LeafLabel leaf, ReadMode mode,
                                     Addr wantAddr, Cycles startTime);
+    /** Move (or, for a Request's shadow, copy) one read slot's block
+     *  into the stash or the eviction buffer. */
+    SB_HOT void takeSlot(Slot &slot, BucketIndex b, unsigned s,
+                         unsigned level, LeafLabel leaf, ReadMode mode,
+                         bool consume, Cycles ready);
+    /** A path-read slot failed its tag: reclaim a shadow slot, or
+     *  heal (or write off) a real block's @p payload. */
+    SB_HOT void healCorruptRead(Slot &slot, std::uint64_t slotIdx,
+                                BucketIndex b, unsigned level,
+                                LeafLabel leaf, Cycles ready,
+                                std::vector<std::uint64_t> &payload);
 
-    /** Greedy path write with duplication (Algorithm 1). */
+    /**
+     * Greedy path write with duplication (Algorithm 1), in phases:
+     * offer shadows, place greedily, fill dummies with shadows,
+     * encrypt, return unplaced shadows to the stash.
+     */
     SB_HOT Cycles pathWrite(LeafLabel leaf, Cycles startTime);
+    SB_HOT void offerShadows(LeafLabel leaf);
+    SB_HOT void placeGreedy(LeafLabel leaf);
+    SB_HOT void fillShadows();
+    SB_HOT void encryptPending();
+    SB_HOT void returnUnplacedShadows();
+    /** Dense _placedBufs slot of @p addr for this path write. */
+    std::uint32_t placedBufIdx(Addr addr);
 
     /** Run Step-5/6 eviction if the access counter says so. */
     Cycles maybeEvict(Cycles time);
@@ -290,6 +312,9 @@ class TinyOram
                            Op op = Op::Read,
                            const std::vector<std::uint64_t>
                                *writeData = nullptr);
+    /** Bump @p e's version and store the written payload. */
+    void applyWrite(StashEntry &e,
+                    const std::vector<std::uint64_t> *writeData);
 
     LeafLabel randomLeaf() { return _remapRng.below(_geo.numLeaves); }
 
@@ -318,16 +343,26 @@ class TinyOram
     void handleUnrecoverable(const Slot &slot, BucketIndex bucket,
                              unsigned level,
                              std::vector<std::uint64_t> &payload);
+    /**
+     * Count a detected tag failure of @p slot, run the tier-1
+     * quarantine bookkeeping, and reclaim the slot if it holds a
+     * shadow.  Returns true when the slot just got quarantined.
+     */
+    bool recordCorruptSlot(Slot &slot, std::uint64_t slotIdx, Cycles at);
+    /** Park @p plain on chip for quarantined @p slotIdx. */
+    void parkInSpare(std::uint64_t slotIdx,
+                     const std::vector<std::uint64_t> &plain);
+    /** After a rewrite of @p slotIdx: true when a stuck cell
+     *  re-corrupted it. */
+    bool reapplyStuckCell(std::uint64_t slotIdx);
+
+    /** Emit a trace instant when a trace session is attached. */
+    void traceInstant(unsigned track, const char *name, Cycles ts) const;
 
     void initializeTree();
-    std::vector<std::uint64_t> patternPayload(Addr addr,
-                                              std::uint32_t version) const;
-    /** In-place variant: fills @p out, reusing its capacity. */
+    /** Fill @p out with @p addr's initial/written test pattern. */
     void patternPayloadInto(Addr addr, std::uint32_t version,
                             std::vector<std::uint64_t> &out) const;
-    void writeSlotToDram(BucketIndex bucket, unsigned slotIdx,
-                         const Slot &value,
-                         const std::vector<std::uint64_t> *plain);
 
     OramConfig _cfg;
     OramGeometry _geo;
@@ -398,16 +433,16 @@ class TinyOram
      *  tree (parallel to _evictShadows). */
     std::vector<char> _evictShadowPlaced;
 
-    /** One empty slot found by path-write pass 1, to be filled (or
-     *  explicitly blanked) by the duplication pass. */
+    /** One empty slot found by placeGreedy, to be filled (or
+     *  explicitly blanked) by fillShadows. */
     struct DummySlot
     {
         BucketIndex bucket;
         unsigned slot;
         unsigned level;
     };
-    /** One slot whose re-encryption is deferred to the batch-crypto
-     *  step at the end of a path write. */
+    /** One slot whose re-encryption is deferred to encryptPending at
+     *  the end of a path write. */
     struct PendingEncrypt
     {
         std::uint64_t slotIdx;

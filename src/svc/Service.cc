@@ -269,38 +269,34 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             traceS->instant(obs::kTrackService, "slo_burn", now);
     };
 
+    // Latch or release duplication suppression on the controller.
+    auto setPressure = [&](bool on) {
+        pressureOn = on;
+        ++(on ? stats.backpressureEntries : stats.backpressureExits);
+        oram.noteServicePressure(on);
+        flight.record(now,
+                      on ? obs::FlightKind::PressureOn
+                         : obs::FlightKind::PressureOff,
+                      queue.size());
+        obs::forensics().pressure.store(on ? 1 : 0);
+        if (_controlLog != nullptr) {
+            ControlRecord rec;
+            rec.kind = ControlRecord::Kind::Pressure;
+            rec.pressureOn = on;
+            _controlLog->push_back(rec);
+        }
+    };
+
     auto notePressure = [&]() {
         if (!pressureOn && cfg.queueHighWatermark != 0 &&
             queue.size() >= cfg.queueHighWatermark) {
-            pressureOn = true;
-            ++stats.backpressureEntries;
-            oram.noteServicePressure(true);
-            flight.record(now, obs::FlightKind::PressureOn,
-                          queue.size());
-            obs::forensics().pressure.store(1);
-            if (_controlLog != nullptr) {
-                ControlRecord rec;
-                rec.kind = ControlRecord::Kind::Pressure;
-                rec.pressureOn = true;
-                _controlLog->push_back(rec);
-            }
+            setPressure(true);
             if (traceS != nullptr)
                 traceS->instant(obs::kTrackService,
                                 "svc_backpressure_enter", now);
         } else if (pressureOn &&
                    queue.size() <= cfg.queueLowWatermark) {
-            pressureOn = false;
-            ++stats.backpressureExits;
-            oram.noteServicePressure(false);
-            flight.record(now, obs::FlightKind::PressureOff,
-                          queue.size());
-            obs::forensics().pressure.store(0);
-            if (_controlLog != nullptr) {
-                ControlRecord rec;
-                rec.kind = ControlRecord::Kind::Pressure;
-                rec.pressureOn = false;
-                _controlLog->push_back(rec);
-            }
+            setPressure(false);
             if (traceS != nullptr)
                 traceS->instant(obs::kTrackService,
                                 "svc_backpressure_exit", now);
@@ -740,22 +736,11 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         }
     }
 
-    if (pressureOn) {
-        // Release the latch so the final controller state matches a
-        // pressure-balanced control sequence.
-        pressureOn = false;
-        ++stats.backpressureExits;
-        oram.noteServicePressure(false);
-        flight.record(now, obs::FlightKind::PressureOff,
-                      queue.size());
-        obs::forensics().pressure.store(0);
-        if (_controlLog != nullptr) {
-            ControlRecord rec;
-            rec.kind = ControlRecord::Kind::Pressure;
-            rec.pressureOn = false;
-            _controlLog->push_back(rec);
-        }
-    }
+    // Release the latch so the final controller state matches a
+    // pressure-balanced control sequence (no trace instant: the run
+    // is over).
+    if (pressureOn)
+        setPressure(false);
 
     noteSloBurn(slo.flush());
     stats.sloWindows = slo.windows();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 
 #include "../oram/OramTestUtil.hh"
 #include "common/Errors.hh"
@@ -38,6 +39,115 @@ faultyConfig(double rate, UnrecoverablePolicy policy)
     cfg.fault.seed = 42;
     cfg.fault.onUnrecoverable = policy;
     return cfg;
+}
+
+/**
+ * What a patrol scrub of @p oram must find, worked out independently
+ * of it: every tree slot's tag is checked, and a corrupt real is
+ * healable when its stash entry or *any* tree slot (not just its path)
+ * holds an intact same-version shadow.
+ */
+struct LatentCorruption
+{
+    unsigned corruptReals = 0;
+    unsigned healableReals = 0;
+    unsigned corruptShadows = 0;
+    bool allHealable = true;
+    /** Each block's readable payload, from the stash, its intact real
+     *  copy, or the shadow a heal would use. */
+    std::map<Addr, std::vector<std::uint64_t>> expected;
+};
+
+LatentCorruption
+surveyCorruption(const TinyOram &oram)
+{
+    const OramTree &tree = oram.tree();
+    const OtpCodec codec;
+    LatentCorruption out;
+    oram.stash().forEach([&](const StashEntry &e) {
+        if (e.type == BlockType::Real)
+            out.expected[e.addr] = e.payload;
+    });
+    auto intactShadow = [&](const Slot &real,
+                            std::vector<std::uint64_t> &plain) {
+        const StashEntry *sh = oram.stash().find(real.addr);
+        if (sh && sh->isShadow() && sh->version == real.version) {
+            plain = sh->payload;
+            return true;
+        }
+        for (BucketIndex b = 0; b < tree.numBuckets(); ++b) {
+            for (unsigned s = 0; s < tree.slotsPerBucket(); ++s) {
+                const Slot &c = tree.slot(b, s);
+                if (c.isShadow() && c.addr == real.addr &&
+                    c.version == real.version &&
+                    codec.verifyDecrypt(
+                        tree.cipherView(tree.slotIndex(b, s)), plain))
+                    return true;
+            }
+        }
+        return false;
+    };
+    for (BucketIndex b = 0; b < tree.numBuckets(); ++b) {
+        for (unsigned s = 0; s < tree.slotsPerBucket(); ++s) {
+            const Slot &slot = tree.slot(b, s);
+            if (!slot.valid())
+                continue;
+            const CipherView ct = tree.cipherView(tree.slotIndex(b, s));
+            if (slot.isShadow()) {
+                out.corruptShadows += codec.verify(ct) ? 0 : 1;
+                continue;
+            }
+            std::vector<std::uint64_t> &plain = out.expected[slot.addr];
+            if (codec.verifyDecrypt(ct, plain))
+                continue;
+            ++out.corruptReals;
+            if (intactShadow(slot, plain))
+                ++out.healableReals;
+            else
+                out.allHealable = false;
+        }
+    }
+    return out;
+}
+
+/**
+ * Flip a bit in a tree real that has a same-version tree shadow, and
+ * in a tree shadow of some other block.  False when the tree holds no
+ * such pair.
+ */
+bool
+plantHealableCorruption(TinyOram &oram)
+{
+    auto &tree = const_cast<OramTree &>(oram.tree());
+    std::uint64_t realIdx = ~0ULL, shadowIdx = ~0ULL;
+    Addr healable = kInvalidAddr;
+    for (BucketIndex b = 0; b < tree.numBuckets(); ++b) {
+        for (unsigned s = 0; s < tree.slotsPerBucket(); ++s) {
+            const Slot &sh = tree.slot(b, s);
+            if (!sh.isShadow())
+                continue;
+            if (healable != kInvalidAddr) {
+                if (sh.addr != healable && shadowIdx == ~0ULL)
+                    shadowIdx = tree.slotIndex(b, s);
+                continue;
+            }
+            const BucketIndex rb = tree.bucketOnPath(
+                oram.posMap().lookup(sh.addr), oram.realLevelOf(sh.addr));
+            for (unsigned rs = 0; rs < tree.slotsPerBucket(); ++rs) {
+                const Slot &r = tree.slot(rb, rs);
+                if (r.isReal() && r.addr == sh.addr &&
+                    r.version == sh.version) {
+                    realIdx = tree.slotIndex(rb, rs);
+                    healable = sh.addr;
+                }
+            }
+        }
+    }
+    if (shadowIdx == ~0ULL)
+        return false;
+    tree.cipherRef(realIdx).lanes[0] ^= 1;
+    tree.cipherRef(shadowIdx).lanes[0] ^= 1;
+    return true;
 }
 
 } // namespace
@@ -232,6 +342,109 @@ TEST(FaultRecovery, InjectionIsReproducibleRunToRun)
               b.oram().stats().faultsRecovered);
     EXPECT_EQ(a.oram().stats().faultsUnrecoverable,
               b.oram().stats().faultsUnrecoverable);
+}
+
+TEST(FaultRecovery, ScrubHealsLatentCorruptionFromShadows)
+{
+    // No stuck bits: a stuck cell re-corrupts a healed rewrite, which
+    // the scrub rightly reports as not clean.
+    OramConfig cfg = faultyConfig(0.02, UnrecoverablePolicy::Count);
+    cfg.fault.stuckBits = false;
+    OramStack fx(Scheme::Shadow, cfg);
+    TinyOram &oram = fx.oram();
+
+    // Patrol-scrub at every access boundary; a small hot set keeps
+    // shadows around to heal from.
+    Rng rng(17);
+    Cycles t = 0;
+    unsigned healedReals = 0, cleanHeals = 0;
+    for (int step = 0; step < 1500; ++step) {
+        const Addr a =
+            rng.chance(0.9) ? rng.below(32) : rng.below(1 << 10);
+        t = oram.access(a, rng.chance(0.3) ? Op::Write : Op::Read,
+                        t + 150)
+                .completeAt;
+        // Injected corruption of a shadow never outlives the read that
+        // planted it, and a corrupt real rarely has a shadow, so plant
+        // both kinds by hand now and then.
+        if (step % 50 == 49) {
+            ASSERT_TRUE(plantHealableCorruption(oram)) << step;
+        }
+        const LatentCorruption before = surveyCorruption(oram);
+        const OramStats st0 = oram.stats();
+        ASSERT_EQ(oram.scrubStorage(), before.allHealable) << step;
+        const OramStats &st = oram.stats();
+        const unsigned healed =
+            before.healableReals + before.corruptShadows;
+        EXPECT_EQ(st.faultsDetected, st0.faultsDetected + healed);
+        EXPECT_EQ(st.faultsRecovered, st0.faultsRecovered + healed);
+        EXPECT_EQ(st.faultsUnrecoverable, st0.faultsUnrecoverable);
+        healedReals += before.healableReals;
+        if (before.corruptShadows + before.corruptReals == 0 ||
+            !before.allHealable)
+            continue;
+
+        // Nothing latent is left, and no block's readable payload
+        // moved.
+        ++cleanHeals;
+        const LatentCorruption after = surveyCorruption(oram);
+        EXPECT_EQ(after.corruptReals + after.corruptShadows, 0u);
+        ASSERT_EQ(before.expected.size(), std::size_t(1) << 10);
+        for (const auto &[addr, payload] : before.expected)
+            EXPECT_EQ(oram.peekPayload(addr), payload) << addr;
+        EXPECT_TRUE(checkInvariants(oram).ok) << step;
+    }
+    EXPECT_GT(healedReals, 0u) << "no corrupt real was ever healed";
+    EXPECT_GT(cleanHeals, 1u);
+    const OramStats &st = oram.stats();
+    EXPECT_EQ(st.faultsDetected,
+              st.faultsRecovered + st.faultsUnrecoverable);
+}
+
+TEST(FaultRecovery, ScrubLeavesUnhealableRealForThePathRead)
+{
+    OramConfig cfg = smallConfig();
+    cfg.fault.onUnrecoverable = UnrecoverablePolicy::Count;
+    OramStack fx(Scheme::Tiny, cfg);
+    TinyOram &oram = fx.oram();
+    drive(oram, 300, 1 << 10);
+
+    // Flip one lane of a leaf-level real block: no shadow exists
+    // under the Tiny scheme, so nothing can heal it.
+    auto &tree = const_cast<OramTree &>(oram.tree());
+    BucketIndex leafBucket = tree.numBuckets() - 1;
+    unsigned s = 0;
+    while (!tree.slot(leafBucket, s).isReal()) {
+        if (++s == tree.slotsPerBucket()) {
+            s = 0;
+            ASSERT_GT(--leafBucket, tree.numBuckets() / 2);
+        }
+    }
+    const Slot victim = tree.slot(leafBucket, s);
+    const std::uint64_t idx = tree.slotIndex(leafBucket, s);
+    tree.cipherRef(idx).lanes[0] ^= 1;
+    const std::uint64_t corruptLane = tree.cipherView(idx).lanes[0];
+
+    const OramStats st0 = oram.stats();
+    EXPECT_FALSE(oram.scrubStorage());
+    // The scrub left the slot and every counter alone.
+    EXPECT_EQ(tree.slot(leafBucket, s).addr, victim.addr);
+    EXPECT_EQ(tree.slot(leafBucket, s).version, victim.version);
+    EXPECT_TRUE(tree.slot(leafBucket, s).isReal());
+    EXPECT_EQ(tree.cipherView(idx).lanes[0], corruptLane);
+    EXPECT_EQ(oram.stats().faultsDetected, st0.faultsDetected);
+    EXPECT_EQ(oram.stats().faultsUnrecoverable, st0.faultsUnrecoverable);
+
+    // The next path read of the block does the accounting, once.
+    oram.access(victim.addr, Op::Read, oram.freeAt() + 150);
+    EXPECT_EQ(oram.stats().faultsDetected, st0.faultsDetected + 1);
+    EXPECT_EQ(oram.stats().faultsUnrecoverable,
+              st0.faultsUnrecoverable + 1);
+    EXPECT_EQ(oram.stats().faultsRecovered, st0.faultsRecovered);
+    EXPECT_EQ(oram.peekPayload(victim.addr),
+              std::vector<std::uint64_t>(cfg.blockBytes / 8, 0));
+    EXPECT_TRUE(oram.scrubStorage());
+    EXPECT_TRUE(checkInvariants(oram).ok);
 }
 
 TEST(FaultRecovery, FaultInjectionRequiresPayloadMode)

@@ -5,13 +5,15 @@
 #
 #     tools/golden_diff.sh <parent-build-dir> <change-build-dir>
 #
-# Each argument is a CMake build directory (the one holding bench/).
-# Surfaces: perf_smoke (its two checksum lines and checksum fields
-# only; the rest is wall time), fig08/10/13/15/16/17,
+# Each argument is a CMake build directory (the one holding bench/ and
+# examples/).  Surfaces: perf_smoke (its two checksum lines and
+# checksum fields only; the rest is wall time), fig08/10/13/15/16/17,
 # ablation_design_choices, stash_occupancy, security_rrwp,
-# fault_sweep, chaos_storm and service_storm.  Compared per surface:
-# exit code, stdout, and the BENCH_*.json, flightrec-*.json and
-# exemplars-*.jsonl files it writes.
+# fault_sweep, chaos_storm and service_storm from bench/, plus the
+# payload-mode examples quickstart, secure_kv_store and
+# pattern_hiding_demo.  Compared per surface: exit code, stdout, and
+# the BENCH_*.json, flightrec-*.json and exemplars-*.jsonl files it
+# writes.
 #
 # Prints nothing and exits 0 when every golden is byte-identical;
 # otherwise prints the diffs and exits 1.  Not a ctest: it needs two
@@ -24,10 +26,14 @@ B=$(cd "${2:?$usage}" && pwd)
 WORK=$(mktemp -d /tmp/sbgolden-XXXXXX)
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
-SURFACES="perf_smoke fig08_dup_no_tp fig10_dri_counter_width
-fig13_dup_tp fig15_slowdown_tp fig16_treetop_hitrate
-fig17_related_work ablation_design_choices stash_occupancy
-security_rrwp fault_sweep chaos_storm service_storm"
+# Paths of the surface binaries, relative to a build directory.
+SURFACES="bench/perf_smoke bench/fig08_dup_no_tp
+bench/fig10_dri_counter_width bench/fig13_dup_tp
+bench/fig15_slowdown_tp bench/fig16_treetop_hitrate
+bench/fig17_related_work bench/ablation_design_choices
+bench/stash_occupancy bench/security_rrwp bench/fault_sweep
+bench/chaos_storm bench/service_storm examples/quickstart
+examples/secure_kv_store examples/pattern_hiding_demo"
 
 # run <build-dir> <side>: every surface into $WORK/<side>/<surface>.
 run()
@@ -37,9 +43,9 @@ run()
         mkdir -p "$dir"
         code=0
         (cd "$dir" && SB_BENCH_QUICK=1 SB_BENCH_REGRESSION=0 \
-            "$1/bench/$s" >stdout.txt 2>stderr.txt) || code=$?
+            "$1/$s" >stdout.txt 2>stderr.txt) || code=$?
         echo "exit $code" >"$dir/exit.txt"
-        if [ "$s" = perf_smoke ]; then
+        if [ "$s" = bench/perf_smoke ]; then
             grep checksum "$dir/stdout.txt" |
                 sed 's/^.*checksum/checksum/' >"$dir/checksums.txt"
             grep '"[a-z_]*checksum"' "$dir/BENCH_perf.json" \
