@@ -61,8 +61,6 @@ class Accumulator
         return _m2 / static_cast<double>(_n);
     }
 
-    double stddev() const { return std::sqrt(variance()); }
-
     void
     reset()
     {
@@ -101,7 +99,6 @@ class Histogram
 
     const std::vector<std::uint64_t> &counts() const { return _counts; }
     const Accumulator &summary() const { return _acc; }
-    double binWidth() const { return _width; }
 
   private:
     double _width;

@@ -66,7 +66,6 @@ flightKindName(FlightKind kind)
     case FlightKind::DegradedExit: return "degraded_exit";
     case FlightKind::AutoRollback: return "auto_rollback";
     case FlightKind::Corruption: return "corruption";
-    case FlightKind::Checkpoint: return "checkpoint";
     }
     return "unknown";
 }

@@ -56,7 +56,6 @@ enum class FlightKind : std::uint8_t
     DegradedExit = 10,   ///< a=real-stash occupancy.
     AutoRollback = 11,   ///< a=rollbacks used, b=failed-at access.
     Corruption = 12,     ///< a=access count, b=tree level.
-    Checkpoint = 13,     ///< a=resolved/accesses done.
 };
 
 /** Human-readable kind name (JSON dump vocabulary). */

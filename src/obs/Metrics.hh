@@ -21,6 +21,7 @@
 #define SBORAM_OBS_METRICS_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -165,8 +166,6 @@ class MetricRegistry
     std::vector<std::string> sampleNames() const;
 
     std::size_t counterCount() const { return _counters.size(); }
-    std::size_t gaugeCount() const { return _gauges.size(); }
-    std::size_t histogramCount() const { return _histograms.size(); }
 
     /** Named histogram rows for the artifact footer. */
     struct NamedHistogram
@@ -188,9 +187,11 @@ class MetricRegistry
         T item;
     };
 
-    std::vector<Named<Counter>> _counters;
-    std::vector<Named<std::function<double()>>> _gauges;
-    std::vector<Named<HistogramSink>> _histograms;
+    // Deques: registration never moves an earlier sink, so the
+    // references counter() and histogramLog2() hand out stay valid.
+    std::deque<Named<Counter>> _counters;
+    std::deque<Named<std::function<double()>>> _gauges;
+    std::deque<Named<HistogramSink>> _histograms;
 };
 
 /**

@@ -181,9 +181,6 @@ class TinyOram
         return _health.noteServicePressure(active);
     }
 
-    /** Blocks currently remapped into the on-chip spare store. */
-    std::size_t spareStoreSize() const { return _spare.size(); }
-
     /**
      * Tier-3 hook: after sim/System rolls the simulation back to a
      * snapshot, replaying the same cursor against the same fault

@@ -81,7 +81,6 @@ class ShadowPolicy : public DuplicationPolicy
     }
 
     const ShadowPolicyStats &stats() const { return _stats; }
-    const HotAddressCache &hotCache() const { return _hot; }
 
     /** Current DRI counter value (obs time-series gauge). */
     std::uint32_t driCounter() const { return _partition.counterValue(); }

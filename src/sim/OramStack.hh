@@ -10,6 +10,7 @@
 #define SBORAM_SIM_ORAMSTACK_HH
 
 #include <cstdint>
+#include <functional>
 
 #include "ckpt/Snapshot.hh"
 #include "mem/DramModel.hh"
@@ -18,6 +19,10 @@
 #include "shadow/ShadowPolicy.hh"
 
 namespace sboram {
+
+namespace obs {
+class MetricRegistry;
+} // namespace obs
 
 /** Which memory system backs the CPU. */
 enum class Scheme : std::uint8_t
@@ -59,6 +64,15 @@ class OramStack
      * before calling this.
      */
     void restore(const ckpt::SnapshotReader &r);
+
+    /**
+     * Register the controller gauges (counters, stash, health and,
+     * for Scheme::Shadow, the partition pair) on @p reg.
+     * @p rollbacks is the driver's tier-3 rollback count; it keeps
+     * its column between health.degraded_entries and stash.real.
+     */
+    void registerGauges(obs::MetricRegistry &reg,
+                        std::function<double()> rollbacks) const;
 
   private:
     DramModel _dram;

@@ -1,7 +1,6 @@
 #include "System.hh"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 
 #include "baseline/InsecureMemory.hh"
@@ -9,9 +8,9 @@
 #include "common/Logging.hh"
 #include "mem/EnergyModel.hh"
 #include "obs/FlightRecorder.hh"
-#include "obs/MetricNames.hh"
-#include "obs/Observer.hh"
+#include "obs/Trace.hh"
 #include "security/InvariantChecker.hh"
+#include "sim/RunHarness.hh"
 #include "workload/SpecProfiles.hh"
 
 namespace sboram {
@@ -179,6 +178,52 @@ perCoreTraces(const std::vector<LlcMissRecord> &trace, unsigned cores,
     return result;
 }
 
+/**
+ * One RunMetrics scalar, in .done-marker order: exactly one of u64,
+ * f64 and u32 is set.  @c from names the OramStats counter a u64
+ * field copies at the end of an ORAM run.
+ */
+struct RunMetricField
+{
+    std::uint64_t RunMetrics::*u64 = nullptr;
+    double RunMetrics::*f64 = nullptr;
+    unsigned RunMetrics::*u32 = nullptr;
+    std::uint64_t OramStats::*from = nullptr;
+};
+
+using M = RunMetrics;
+using S = OramStats;
+
+/** Every RunMetrics scalar; missRetireTimes travels after them. */
+constexpr RunMetricField kRunMetricFields[] = {
+    {.u64 = &M::execTime},
+    {.f64 = &M::dataAccessTime},
+    {.f64 = &M::driTime},
+    {.u64 = &M::requests, .from = &S::requests},
+    {.u64 = &M::dummyRequests, .from = &S::dummyAccesses},
+    {.u64 = &M::stashHits, .from = &S::stashHits},
+    {.u64 = &M::shadowStashHits, .from = &S::shadowStashHits},
+    {.u64 = &M::shadowForwards, .from = &S::shadowForwards},
+    {.u64 = &M::pathReads, .from = &S::pathReads},
+    {.u64 = &M::shadowsWritten, .from = &S::shadowsWritten},
+    {.f64 = &M::onChipHitRate},
+    {.f64 = &M::energy},
+    {.u64 = &M::stashPeakReal},
+    {.u64 = &M::stashOverflows},
+    {.u32 = &M::finalPartitionLevel},
+    {.u64 = &M::faultsInjected, .from = &S::faultsInjected},
+    {.u64 = &M::faultsDetected, .from = &S::faultsDetected},
+    {.u64 = &M::faultsRecovered, .from = &S::faultsRecovered},
+    {.u64 = &M::faultsUnrecoverable, .from = &S::faultsUnrecoverable},
+    {.u64 = &M::slotsQuarantined, .from = &S::slotsQuarantined},
+    {.u64 = &M::quarantineEvacuations, .from = &S::quarantineEvacuations},
+    {.u64 = &M::degradedEntries, .from = &S::degradedEntries},
+    {.u64 = &M::degradedTicks, .from = &S::degradedTicks},
+    {.u64 = &M::emergencyEvictions, .from = &S::emergencyEvictions},
+    {.u64 = &M::rollbacks},
+    {.u64 = &M::replayedAccesses},
+};
+
 } // namespace
 
 std::vector<LlcMissRecord>
@@ -210,99 +255,27 @@ runSystem(const SystemConfig &cfg,
 
     RunMetrics m;
     EnergyModel energy(DramEnergy{}, cfg.dramGeometry.channels);
+    RunHarness harness(
+        cfg.obs,
+        trace.size() * (cfg.cpu == CpuKind::OutOfOrder ? cfg.cores : 1),
+        session, cfg.checkpointInterval, cfg.interruptAfterAccesses,
+        "run", "accesses");
+    obs::RunObserver *obsPtr = harness.observer();
 
-    // Observability hub: null unless the config opts in, so every
-    // hook below stays a single branch on a cold pointer.
-    std::unique_ptr<obs::RunObserver> observer;
-    obs::RunObserver *obsPtr = nullptr;
-    obs::Counter *ckptCounter = nullptr;
-    if (cfg.obs.any()) {
-        observer = std::make_unique<obs::RunObserver>(cfg.obs);
-        obsPtr = observer.get();
-        obsPtr->setTotalAccesses(
-            trace.size() *
-            (cfg.cpu == CpuKind::OutOfOrder ? cfg.cores : 1));
-    }
-
+    // The step hook fires after every completed memory request.  With
+    // no observer, session or interrupt seam it stays empty and the
+    // CPU models skip it entirely.
     CpuCursor cursor;
-
-    auto runCpu = [&](MemoryPort &port,
-                      const CpuStepHook &hook) -> CpuRunResult {
-        if (cfg.cpu == CpuKind::InOrder) {
-            InOrderCpu cpu;
-            return cpu.run(trace, port, cursor, hook);
-        }
-        OooCpu cpu(cfg.cores, cfg.window);
-        return cpu.run(
-            perCoreTraces(trace, cfg.cores, cfg.oram.dataBlocks),
-            port, cursor, hook);
-    };
-
-    // The checkpoint hook fires after every completed memory request:
-    // snapshot when the cadence says so, and on a stop request write
-    // one final snapshot and unwind with InterruptedError.  With no
-    // session and no interrupt seam the hook is empty and the CPU
-    // models skip it entirely.
-    using SaveAllFn = std::function<void(ckpt::SnapshotWriter &)>;
-    std::uint64_t lastSnapshotAt = 0;
-    auto makeHook = [&](SaveAllFn saveAll,
-                        std::function<bool()> scrub) -> CpuStepHook {
-        if (session == nullptr && cfg.interruptAfterAccesses == 0 &&
-            obsPtr == nullptr)
-            return CpuStepHook{};
-        return [&cfg, session, &lastSnapshotAt, saveAll, scrub, obsPtr,
-                &ckptCounter](const CpuCursor &cur) {
+    CpuStepHook hook;
+    if (obsPtr != nullptr || session != nullptr ||
+        cfg.interruptAfterAccesses != 0)
+        hook = [&harness, obsPtr](const CpuCursor &cur) {
             if (obsPtr != nullptr)
                 obsPtr->onAccessBoundary(cur.accessesDone,
                                          cur.partial.finishTime,
-                                         cur.lastIssue,
-                                         cur.lastForward);
-            const bool stopping =
-                ckpt::stopRequested() ||
-                (cfg.interruptAfterAccesses != 0 &&
-                 cur.accessesDone >= cfg.interruptAfterAccesses);
-            const bool due =
-                session != nullptr && cfg.checkpointInterval != 0 &&
-                cur.accessesDone - lastSnapshotAt >=
-                    cfg.checkpointInterval;
-            if (!stopping && !due)
-                return;
-            if (session != nullptr) {
-                // Scrub-before-commit: a fault can sit latent between
-                // injection and the read that detects it, and a
-                // snapshot taken inside that window would hand tier-3
-                // rollback a poisoned restore point.  Verify (and
-                // shadow-heal) the stored state first; if an
-                // unhealable corruption is present, skip this cadence
-                // commit and keep the last clean generation.
-                if (scrub && !scrub()) {
-                    lastSnapshotAt = cur.accessesDone;
-                    if (obs::TraceSession *t =
-                            obsPtr ? obsPtr->trace() : nullptr)
-                        t->instant(obs::kTrackCheckpoint,
-                                   "checkpoint_skipped",
-                                   cur.partial.finishTime);
-                } else {
-                    ckpt::SnapshotWriter writer;
-                    saveAll(writer);
-                    session->commitSnapshot(writer);
-                    lastSnapshotAt = cur.accessesDone;
-                    if (ckptCounter != nullptr)
-                        ckptCounter->add();
-                    if (obs::TraceSession *t =
-                            obsPtr ? obsPtr->trace() : nullptr)
-                        t->instant(obs::kTrackCheckpoint, "checkpoint",
-                                   cur.partial.finishTime);
-                }
-            }
-            if (stopping)
-                throw InterruptedError(
-                    "run stopped after " +
-                        std::to_string(cur.accessesDone) +
-                        " accesses (final checkpoint written)",
-                    cur.accessesDone);
+                                         cur.lastIssue, cur.lastForward);
+            harness.atStep(cur.accessesDone, cur.partial.finishTime);
         };
-    };
 
     struct RecordingPort : MemoryPort
     {
@@ -318,75 +291,78 @@ runSystem(const SystemConfig &cfg,
         }
     };
     RecordingPort recorder;
-    auto maybeRecord = [&](MemoryPort &inner) -> MemoryPort & {
-        if (!cfg.recordPerMiss)
-            return inner;
-        recorder.inner = &inner;
-        recorder.out = &m.missRetireTimes;
-        return recorder;
+    auto runCpu = [&](MemoryPort &inner) -> CpuRunResult {
+        MemoryPort *port = &inner;
+        if (cfg.recordPerMiss) {
+            recorder.inner = &inner;
+            recorder.out = &m.missRetireTimes;
+            port = &recorder;
+        }
+        if (cfg.cpu == CpuKind::InOrder) {
+            InOrderCpu cpu;
+            return cpu.run(trace, *port, cursor, hook);
+        }
+        OooCpu cpu(cfg.cores, cfg.window);
+        return cpu.run(
+            perCoreTraces(trace, cfg.cores, cfg.oram.dataBlocks), *port,
+            cursor, hook);
+    };
+
+    // Every System snapshot holds the CPU cursor and the run-level
+    // metrics, whatever the memory system behind them.
+    auto saveRun = [&](ckpt::SnapshotWriter &w) {
+        cursor.saveState(w.section(ckpt::kSectionCpu));
+        ckpt::Serializer &met = w.section(ckpt::kSectionMetrics);
+        met.u64(m.rollbacks);
+        met.u64(m.replayedAccesses);
+        met.vecU64(m.missRetireTimes);
+    };
+    // @p restoreMemory fetches its own sections before it loads any,
+    // so a structurally wrong snapshot is rejected untouched.
+    auto restoreRun = [&](const ckpt::SnapshotReader &r,
+                          auto &&restoreMemory) {
+        auto dCpu = r.section(ckpt::kSectionCpu);
+        auto dMet = r.section(ckpt::kSectionMetrics);
+        restoreMemory();
+        cursor.loadState(dCpu);
+        m.rollbacks = dMet.u64();
+        m.replayedAccesses = dMet.u64();
+        m.missRetireTimes = dMet.vecU64();
+        return cursor.accessesDone;
     };
 
     if (cfg.scheme == Scheme::Insecure) {
         DramModel dram(cfg.dramTiming, cfg.dramGeometry);
         InsecureMemory mem(dram);
         InsecurePort port(mem);
-        if (obsPtr != nullptr) {
-            if (cfg.obs.metrics)
-                ckptCounter = &obsPtr->registry().counter(
-                    obs::kMetricCheckpoints);
-            obsPtr->sealRegistry();
-        }
-        auto saveAll = [&](ckpt::SnapshotWriter &w) {
-            cursor.saveState(w.section(ckpt::kSectionCpu));
-            port.saveState(w.section(ckpt::kSectionMem));
-            dram.saveState(w.section(ckpt::kSectionDram));
-            ckpt::Serializer &met = w.section(ckpt::kSectionMetrics);
-            met.u64(m.rollbacks);
-            met.u64(m.replayedAccesses);
-            met.vecU64(m.missRetireTimes);
-            if (obsPtr != nullptr)
-                obsPtr->saveState(w.section(ckpt::kSectionObs));
-        };
-        if (session != nullptr) {
-            if (auto reader = session->loadLatest()) {
-                // Fetch every section first so a structurally wrong
-                // snapshot is rejected before any state mutates.
-                auto dCpu = reader->section(ckpt::kSectionCpu);
-                auto dMem = reader->section(ckpt::kSectionMem);
-                auto dDram = reader->section(ckpt::kSectionDram);
-                auto dMet = reader->section(ckpt::kSectionMetrics);
-                cursor.loadState(dCpu);
-                port.loadState(dMem);
-                dram.loadState(dDram);
-                m.rollbacks = dMet.u64();
-                m.replayedAccesses = dMet.u64();
-                m.missRetireTimes = dMet.vecU64();
-                if (obsPtr != nullptr &&
-                    reader->hasSection(ckpt::kSectionObs)) {
-                    auto dObs = reader->section(ckpt::kSectionObs);
-                    obsPtr->loadState(dObs);
-                }
-                lastSnapshotAt = cursor.accessesDone;
-            }
-        }
-        CpuRunResult r =
-            runCpu(maybeRecord(port), makeHook(saveAll, {}));
+        harness.wire(
+            [&](ckpt::SnapshotWriter &w) {
+                saveRun(w);
+                port.saveState(w.section(ckpt::kSectionMem));
+                dram.saveState(w.section(ckpt::kSectionDram));
+            },
+            [&](const ckpt::SnapshotReader &r) {
+                return restoreRun(r, [&] {
+                    auto dMem = r.section(ckpt::kSectionMem);
+                    auto dDram = r.section(ckpt::kSectionDram);
+                    port.loadState(dMem);
+                    dram.loadState(dDram);
+                });
+            });
+        harness.resume();
+        CpuRunResult r = runCpu(port);
         m.execTime = r.finishTime;
         m.dataAccessTime = port.busyTime();
         m.driTime = static_cast<double>(m.execTime) - m.dataAccessTime;
         m.requests = r.reads + r.writes;
         m.energy = energy.totalEnergy(dram.stats(), m.execTime);
-        if (obsPtr != nullptr) {
-            obsPtr->finalSample(cursor.accessesDone, m.execTime);
-            obsPtr->close();
-        }
+        harness.finish(cursor.accessesDone, m.execTime);
         return m;
     }
 
     OramStack stack(cfg.scheme, cfg.oram, cfg.shadow, cfg.dramTiming,
                     cfg.dramGeometry);
     TinyOram &oram = stack.oram();
-    ShadowPolicy *shadowPolicy = stack.shadowPolicy();
 
     // Always-on flight recorder for the recovery ladder: quarantines
     // and degraded transitions from the controller, rollbacks and
@@ -411,122 +387,38 @@ runSystem(const SystemConfig &cfg,
 
     if (obsPtr != nullptr) {
         oram.setObserver(obsPtr);
-        if (cfg.obs.metrics) {
-            obs::MetricRegistry &reg = obsPtr->registry();
-            ckptCounter = &reg.counter(obs::kMetricCheckpoints);
-            // Controller counters are polled as gauges: the ORAM hot
-            // path keeps its existing OramStats increments and pays
-            // nothing extra per access.
-            reg.gauge(obs::kMetricRequests, [&oram] {
-                return static_cast<double>(oram.stats().requests);
-            });
-            reg.gauge(obs::kMetricStashHits, [&oram] {
-                return static_cast<double>(oram.stats().stashHits);
-            });
-            reg.gauge(obs::kMetricPathReads, [&oram] {
-                return static_cast<double>(oram.stats().pathReads);
-            });
-            reg.gauge(obs::kMetricShadowForwards, [&oram] {
-                return static_cast<double>(
-                    oram.stats().shadowForwards);
-            });
-            reg.gauge(obs::kMetricShadowsWritten, [&oram] {
-                return static_cast<double>(
-                    oram.stats().shadowsWritten);
-            });
-            reg.gauge(obs::kMetricFaultsDetected, [&oram] {
-                return static_cast<double>(
-                    oram.stats().faultsDetected);
-            });
-            reg.gauge(obs::kMetricFaultsRecovered, [&oram] {
-                return static_cast<double>(
-                    oram.stats().faultsRecovered);
-            });
-            reg.gauge(obs::kMetricQuarantinedSlots, [&oram] {
-                return static_cast<double>(
-                    oram.health().quarantinedCount());
-            });
-            reg.gauge(obs::kMetricDegraded, [&oram] {
-                return oram.health().degraded() ? 1.0 : 0.0;
-            });
-            reg.gauge(obs::kMetricDegradedEntries, [&oram] {
-                return static_cast<double>(
-                    oram.stats().degradedEntries);
-            });
-            reg.gauge(obs::kMetricRollbacks, [&m] {
+        if (cfg.obs.metrics)
+            stack.registerGauges(obsPtr->registry(), [&m] {
                 return static_cast<double>(m.rollbacks);
             });
-            reg.gauge(obs::kMetricStashReal, [&oram] {
-                return static_cast<double>(oram.stash().realCount());
-            });
-            reg.gauge(obs::kMetricStashShadow, [&oram] {
-                return static_cast<double>(
-                    oram.stash().shadowCount());
-            });
-            reg.gauge(obs::kMetricStashHitRate, [&oram] {
-                const OramStats &s = oram.stats();
-                return s.requests
-                    ? static_cast<double>(s.stashHits) /
-                          static_cast<double>(s.requests)
-                    : 0.0;
-            });
-            reg.gauge(obs::kMetricShadowHitDepth, [&oram] {
-                // Mean levels advanced per shadow-forwarded read:
-                // how deep in the path the winning shadow copy sat.
-                const OramStats &s = oram.stats();
-                return s.shadowForwards
-                    ? static_cast<double>(s.levelsAdvanced) /
-                          static_cast<double>(s.shadowForwards)
-                    : 0.0;
-            });
-            if (shadowPolicy != nullptr) {
-                reg.gauge(obs::kMetricPartitionLevel,
-                          [shadowPolicy] {
-                    return static_cast<double>(
-                        shadowPolicy->partitionLevel());
-                });
-                reg.gauge(obs::kMetricDriCounter, [shadowPolicy] {
-                    return static_cast<double>(
-                        shadowPolicy->driCounter());
-                });
-            }
-        }
-        obsPtr->sealRegistry();
     }
 
-    auto saveAll = [&](ckpt::SnapshotWriter &w) {
-        cursor.saveState(w.section(ckpt::kSectionCpu));
-        port.saveState(w.section(ckpt::kSectionPort));
-        stack.save(w);
-        ckpt::Serializer &met = w.section(ckpt::kSectionMetrics);
-        met.u64(m.rollbacks);
-        met.u64(m.replayedAccesses);
-        met.vecU64(m.missRetireTimes);
-        flight.saveState(w.section(ckpt::kSectionReqObs));
-        if (obsPtr != nullptr)
-            obsPtr->saveState(w.section(ckpt::kSectionObs));
-    };
-    auto restoreAll = [&](ckpt::SnapshotReader &reader) {
-        // Fetch every section first so a structurally wrong snapshot
-        // is rejected before any state mutates.
-        auto dCpu = reader.section(ckpt::kSectionCpu);
-        auto dPort = reader.section(ckpt::kSectionPort);
-        auto dMet = reader.section(ckpt::kSectionMetrics);
-        auto dReq = reader.section(ckpt::kSectionReqObs);
-        stack.restore(reader);
-        cursor.loadState(dCpu);
-        port.loadState(dPort);
-        m.rollbacks = dMet.u64();
-        m.replayedAccesses = dMet.u64();
-        m.missRetireTimes = dMet.vecU64();
-        flight.loadState(dReq);
-        if (obsPtr != nullptr &&
-            reader.hasSection(ckpt::kSectionObs)) {
-            auto dObs = reader.section(ckpt::kSectionObs);
-            obsPtr->loadState(dObs);
-        }
-        lastSnapshotAt = cursor.accessesDone;
-    };
+    // Only auto-rollback sessions pay for the pre-commit patrol
+    // scrub; plain checkpointing tolerates latent corruption in a
+    // snapshot because it never restores one mid-run.
+    const bool autoRollback =
+        session != nullptr && cfg.maxAutoRollbacks > 0;
+    RunHarness::ScrubFn scrub;
+    if (autoRollback)
+        scrub = [&oram] { return oram.scrubStorage(); };
+    harness.wire(
+        [&](ckpt::SnapshotWriter &w) {
+            saveRun(w);
+            port.saveState(w.section(ckpt::kSectionPort));
+            stack.save(w);
+            flight.saveState(w.section(ckpt::kSectionReqObs));
+        },
+        [&](const ckpt::SnapshotReader &r) {
+            return restoreRun(r, [&] {
+                auto dPort = r.section(ckpt::kSectionPort);
+                auto dReq = r.section(ckpt::kSectionReqObs);
+                stack.restore(r);
+                port.loadState(dPort);
+                flight.loadState(dReq);
+            });
+        },
+        std::move(scrub));
+
     // Auto-rollback's last line of defense: a fault can corrupt a
     // stored ciphertext long before the next read detects it, so a
     // cadence snapshot taken in that window captures the poison and
@@ -535,28 +427,16 @@ runSystem(const SystemConfig &cfg,
     // image (captured before any resume mutates it) so the ladder can
     // escalate to a clean restart from the trace start.
     std::vector<std::uint8_t> pristineImage;
-    if (session != nullptr && cfg.maxAutoRollbacks > 0) {
+    if (autoRollback) {
         ckpt::SnapshotWriter writer;
-        saveAll(writer);
+        harness.save(writer);
         pristineImage = writer.finish(0, 0);
     }
-    bool resumed = false;
-    if (session != nullptr) {
-        if (auto reader = session->loadLatest()) {
-            restoreAll(*reader);
-            resumed = true;
-        }
-    }
-    if (session != nullptr && cfg.maxAutoRollbacks > 0 && !resumed) {
-        // Auto-rollback needs a restore point even for corruption
-        // that strikes before the first cadence snapshot: commit the
-        // pristine access-0 state up front.
-        ckpt::SnapshotWriter writer;
-        saveAll(writer);
-        session->commitSnapshot(writer);
-        if (ckptCounter != nullptr)
-            ckptCounter->add();
-    }
+    // Auto-rollback needs a restore point even for corruption that
+    // strikes before the first cadence snapshot: commit the pristine
+    // access-0 state up front.
+    if (!harness.resume() && autoRollback)
+        harness.commit();
 
     // Tier-3 of the recovery ladder: a CorruptionError that escaped
     // the in-ORAM tiers rolls the whole simulation back to the latest
@@ -568,23 +448,16 @@ runSystem(const SystemConfig &cfg,
     // classifier reports it exactly as before.
     unsigned rollbacksUsed = 0;
     std::uint64_t lastFailedAt = std::uint64_t(-1);
-    // Only auto-rollback sessions pay for the pre-commit patrol
-    // scrub; plain checkpointing tolerates latent corruption in a
-    // snapshot because it never restores one mid-run.
-    std::function<bool()> scrubFn;
-    if (session != nullptr && cfg.maxAutoRollbacks > 0)
-        scrubFn = [&oram] { return oram.scrubStorage(); };
     CpuRunResult r;
     for (;;) {
         try {
-            r = runCpu(maybeRecord(port), makeHook(saveAll, scrubFn));
+            r = runCpu(port);
             break;
         } catch (const CorruptionError &) {
             flight.record(cursor.partial.finishTime,
                           obs::FlightKind::Corruption,
                           cursor.accessesDone, rollbacksUsed);
-            if (session == nullptr || cfg.maxAutoRollbacks == 0 ||
-                rollbacksUsed >= cfg.maxAutoRollbacks) {
+            if (!autoRollback || rollbacksUsed >= cfg.maxAutoRollbacks) {
                 // Fatal: hand the ring to the panic path before the
                 // rethrow unwinds this frame.
                 flight.publishFatal(flightLabel);
@@ -597,24 +470,18 @@ runSystem(const SystemConfig &cfg,
             // pre-commit scrub could not heal, or a serialized stuck
             // cell) — abandon the cadence snapshots and restart clean
             // from the trace start.
-            const bool noProgress = failedAt == lastFailedAt;
             std::unique_ptr<ckpt::SnapshotReader> reader;
-            if (!noProgress)
+            if (failedAt != lastFailedAt)
                 reader = session->loadLatest();
-            if (!reader) {
-                if (pristineImage.empty()) {
-                    flight.publishFatal(flightLabel);
-                    throw;
-                }
+            if (!reader)
                 reader = std::make_unique<ckpt::SnapshotReader>(
                     pristineImage);
-            }
             // The Metrics section in the restored image predates this
             // ladder's own activity; carry the live counters across
             // the restore so rollbacks are never undercounted.
             const std::uint64_t priorRollbacks = m.rollbacks;
             const std::uint64_t priorReplayed = m.replayedAccesses;
-            restoreAll(*reader);
+            harness.restore(*reader);
             lastFailedAt = failedAt;
             ++rollbacksUsed;
             m.rollbacks = priorRollbacks + 1;
@@ -640,13 +507,9 @@ runSystem(const SystemConfig &cfg,
         m.driTime = 0.0;
 
     const OramStats &os = oram.stats();
-    m.requests = os.requests;
-    m.dummyRequests = os.dummyAccesses;
-    m.stashHits = os.stashHits;
-    m.shadowStashHits = os.shadowStashHits;
-    m.shadowForwards = os.shadowForwards;
-    m.pathReads = os.pathReads;
-    m.shadowsWritten = os.shadowsWritten;
+    for (const RunMetricField &f : kRunMetricFields)
+        if (f.from != nullptr)
+            m.*f.u64 = os.*f.from;
     m.onChipHitRate = os.requests
         ? static_cast<double>(os.onChipHits) /
           static_cast<double>(os.requests)
@@ -654,28 +517,16 @@ runSystem(const SystemConfig &cfg,
     m.energy = energy.totalEnergy(stack.dram().stats(), m.execTime);
     m.stashPeakReal = oram.stash().stats().peakReal;
     m.stashOverflows = oram.stash().stats().overflowEvents;
-    m.faultsInjected = os.faultsInjected;
-    m.faultsDetected = os.faultsDetected;
-    m.faultsRecovered = os.faultsRecovered;
-    m.faultsUnrecoverable = os.faultsUnrecoverable;
-    m.slotsQuarantined = os.slotsQuarantined;
-    m.quarantineEvacuations = os.quarantineEvacuations;
-    m.degradedEntries = os.degradedEntries;
-    m.degradedTicks = os.degradedTicks;
-    m.emergencyEvictions = os.emergencyEvictions;
     // m.rollbacks / m.replayedAccesses are maintained by the tier-3
     // loop above (and restored from the snapshot on resume).
-    if (shadowPolicy)
-        m.finalPartitionLevel = shadowPolicy->partitionLevel();
+    if (ShadowPolicy *policy = stack.shadowPolicy())
+        m.finalPartitionLevel = policy->partitionLevel();
     // Empty rings stay out of the artifact: most batch points never
     // touch the recovery ladder.
     if (!flight.empty())
         obs::publishFlightDump(flightLabel,
                                flight.renderJson(flightLabel));
-    if (obsPtr != nullptr) {
-        obsPtr->finalSample(cursor.accessesDone, m.execTime);
-        obsPtr->close();
-    }
+    harness.finish(cursor.accessesDone, m.execTime);
     return m;
 }
 
@@ -778,32 +629,14 @@ configFingerprint(const SystemConfig &cfg)
 void
 saveRunMetrics(ckpt::Serializer &out, const RunMetrics &m)
 {
-    out.u64(m.execTime);
-    out.f64(m.dataAccessTime);
-    out.f64(m.driTime);
-    out.u64(m.requests);
-    out.u64(m.dummyRequests);
-    out.u64(m.stashHits);
-    out.u64(m.shadowStashHits);
-    out.u64(m.shadowForwards);
-    out.u64(m.pathReads);
-    out.u64(m.shadowsWritten);
-    out.f64(m.onChipHitRate);
-    out.f64(m.energy);
-    out.u64(m.stashPeakReal);
-    out.u64(m.stashOverflows);
-    out.u32(m.finalPartitionLevel);
-    out.u64(m.faultsInjected);
-    out.u64(m.faultsDetected);
-    out.u64(m.faultsRecovered);
-    out.u64(m.faultsUnrecoverable);
-    out.u64(m.slotsQuarantined);
-    out.u64(m.quarantineEvacuations);
-    out.u64(m.degradedEntries);
-    out.u64(m.degradedTicks);
-    out.u64(m.emergencyEvictions);
-    out.u64(m.rollbacks);
-    out.u64(m.replayedAccesses);
+    for (const RunMetricField &f : kRunMetricFields) {
+        if (f.u64 != nullptr)
+            out.u64(m.*f.u64);
+        else if (f.f64 != nullptr)
+            out.f64(m.*f.f64);
+        else
+            out.u32(m.*f.u32);
+    }
     out.vecU64(m.missRetireTimes);
 }
 
@@ -811,32 +644,14 @@ RunMetrics
 loadRunMetrics(ckpt::Deserializer &in)
 {
     RunMetrics m;
-    m.execTime = in.u64();
-    m.dataAccessTime = in.f64();
-    m.driTime = in.f64();
-    m.requests = in.u64();
-    m.dummyRequests = in.u64();
-    m.stashHits = in.u64();
-    m.shadowStashHits = in.u64();
-    m.shadowForwards = in.u64();
-    m.pathReads = in.u64();
-    m.shadowsWritten = in.u64();
-    m.onChipHitRate = in.f64();
-    m.energy = in.f64();
-    m.stashPeakReal = in.u64();
-    m.stashOverflows = in.u64();
-    m.finalPartitionLevel = in.u32();
-    m.faultsInjected = in.u64();
-    m.faultsDetected = in.u64();
-    m.faultsRecovered = in.u64();
-    m.faultsUnrecoverable = in.u64();
-    m.slotsQuarantined = in.u64();
-    m.quarantineEvacuations = in.u64();
-    m.degradedEntries = in.u64();
-    m.degradedTicks = in.u64();
-    m.emergencyEvictions = in.u64();
-    m.rollbacks = in.u64();
-    m.replayedAccesses = in.u64();
+    for (const RunMetricField &f : kRunMetricFields) {
+        if (f.u64 != nullptr)
+            m.*f.u64 = in.u64();
+        else if (f.f64 != nullptr)
+            m.*f.f64 = in.f64();
+        else
+            m.*f.u32 = in.u32();
+    }
     m.missRetireTimes = in.vecU64();
     return m;
 }

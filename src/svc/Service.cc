@@ -9,9 +9,9 @@
 #include "obs/FlightRecorder.hh"
 #include "obs/MetricNames.hh"
 #include "obs/Metrics.hh"
-#include "obs/Observer.hh"
 #include "obs/Trace.hh"
 #include "sim/OramStack.hh"
+#include "sim/RunHarness.hh"
 
 namespace sboram {
 namespace svc {
@@ -49,6 +49,19 @@ retryBackoff(const ServiceConfig &cfg, std::uint64_t seq,
 
 /** Exemplars kept per log2 latency bin. */
 constexpr std::size_t kExemplarsPerBin = 4;
+
+/** The ServiceStats counters a snapshot carries, in section order. */
+constexpr std::uint64_t ServiceStats::*kSnapshotStats[] = {
+    &ServiceStats::arrivals,       &ServiceStats::admitted,
+    &ServiceStats::completed,      &ServiceStats::dedupJoins,
+    &ServiceStats::shadowEarlyCompletions,
+    &ServiceStats::requestsShed,   &ServiceStats::shedAdmission,
+    &ServiceStats::shedDeadline,   &ServiceStats::retries,
+    &ServiceStats::deadlineMisses, &ServiceStats::maxQueueDepth,
+    &ServiceStats::backpressureEntries,
+    &ServiceStats::backpressureExits, &ServiceStats::issuedAccesses,
+    &ServiceStats::stageBalanceViolations,
+};
 
 } // namespace
 
@@ -178,15 +191,14 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
 
     // Observability: identical artifact bytes whether or not anyone
     // is watching, like sim/System.
-    std::unique_ptr<obs::RunObserver> observer;
-    obs::RunObserver *obsPtr = nullptr;
+    RunHarness harness(cfg.obs, total, session, cfg.checkpointInterval,
+                       cfg.interruptAfterResolved, "service run",
+                       "resolved requests");
+    obs::RunObserver *obsPtr = harness.observer();
     obs::HistogramSink *latencyHist = nullptr;
     obs::Counter *sloBreachCounter = nullptr;
     std::array<obs::HistogramSink *, obs::kStageIdCount> stageHists{};
-    if (cfg.obs.any()) {
-        observer = std::make_unique<obs::RunObserver>(cfg.obs);
-        obsPtr = observer.get();
-        obsPtr->setTotalAccesses(total);
+    if (obsPtr != nullptr) {
         oram.setObserver(obsPtr);
         if (cfg.obs.metrics) {
             obs::MetricRegistry &reg = obsPtr->registry();
@@ -234,7 +246,6 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                 &reg.histogramLog2(obs::kStageShadowForward,
                                    obs::kDefaultLog2Bins);
         }
-        obsPtr->sealRegistry();
     }
     obs::TraceSession *traceS = obsPtr ? obsPtr->trace() : nullptr;
 
@@ -303,9 +314,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         }
     };
 
-    auto shed = [&](std::uint64_t client, Cycles arrival,
-                    ShedReason reason) {
-        (void)client;
+    auto shed = [&](Cycles arrival, ShedReason reason) {
         ++stats.requestsShed;
         if (reason == ShedReason::AdmissionFull)
             ++stats.shedAdmission;
@@ -364,8 +373,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                 flight.record(std::max(now, pending.arrival),
                               obs::FlightKind::ShedAdmission,
                               pending.client, pending.arrival);
-                shed(pending.client, pending.arrival,
-                     ShedReason::AdmissionFull);
+                shed(pending.arrival, ShedReason::AdmissionFull);
             } else {
                 Request r;
                 r.seq = nextSeq++;
@@ -393,7 +401,6 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
     };
 
     // --- Checkpointing ----------------------------------------------
-    std::uint64_t lastSnapshotAt = 0;
     auto saveAll = [&](ckpt::SnapshotWriter &w) {
         ckpt::Serializer &s = w.section(ckpt::kSectionSvc);
         _impl->gen.saveState(s);
@@ -418,21 +425,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             s.u64(r.deadlineAt);
             s.u32(r.attempts);
         }
-        s.u64(stats.arrivals);
-        s.u64(stats.admitted);
-        s.u64(stats.completed);
-        s.u64(stats.dedupJoins);
-        s.u64(stats.shadowEarlyCompletions);
-        s.u64(stats.requestsShed);
-        s.u64(stats.shedAdmission);
-        s.u64(stats.shedDeadline);
-        s.u64(stats.retries);
-        s.u64(stats.deadlineMisses);
-        s.u64(stats.maxQueueDepth);
-        s.u64(stats.backpressureEntries);
-        s.u64(stats.backpressureExits);
-        s.u64(stats.issuedAccesses);
-        s.u64(stats.stageBalanceViolations);
+        for (auto field : kSnapshotStats)
+            s.u64(stats.*field);
         s.vecU64(latencies);
         ckpt::Serializer &q = w.section(ckpt::kSectionReqObs);
         // Timeline records travel in queue order; slots themselves
@@ -446,10 +440,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         slo.saveState(q);
         flight.saveState(q);
         stack.save(w);
-        if (obsPtr != nullptr)
-            obsPtr->saveState(w.section(ckpt::kSectionObs));
     };
-    auto restoreAll = [&](ckpt::SnapshotReader &reader) {
+    auto restoreAll = [&](const ckpt::SnapshotReader &reader) {
         // Fetch every section first so a structurally wrong snapshot
         // is rejected before any state mutates.
         auto dSvc = reader.section(ckpt::kSectionSvc);
@@ -480,21 +472,8 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             r.attempts = dSvc.u32();
             queue.push_back(r);
         }
-        stats.arrivals = dSvc.u64();
-        stats.admitted = dSvc.u64();
-        stats.completed = dSvc.u64();
-        stats.dedupJoins = dSvc.u64();
-        stats.shadowEarlyCompletions = dSvc.u64();
-        stats.requestsShed = dSvc.u64();
-        stats.shedAdmission = dSvc.u64();
-        stats.shedDeadline = dSvc.u64();
-        stats.retries = dSvc.u64();
-        stats.deadlineMisses = dSvc.u64();
-        stats.maxQueueDepth = dSvc.u64();
-        stats.backpressureEntries = dSvc.u64();
-        stats.backpressureExits = dSvc.u64();
-        stats.issuedAccesses = dSvc.u64();
-        stats.stageBalanceViolations = dSvc.u64();
+        for (auto field : kSnapshotStats)
+            stats.*field = dSvc.u64();
         latencies = dSvc.vecU64();
         const std::uint64_t recs = dReq.u64();
         SB_ASSERT(recs == queue.size(),
@@ -512,49 +491,10 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
         slo.loadState(dReq);
         flight.loadState(dReq);
         obs::forensics().pressure.store(pressureOn ? 1 : 0);
-        if (obsPtr != nullptr &&
-            reader.hasSection(ckpt::kSectionObs)) {
-            auto dObs = reader.section(ckpt::kSectionObs);
-            obsPtr->loadState(dObs);
-        }
-        lastSnapshotAt = resolved;
+        return resolved;
     };
-    auto maybeCheckpoint = [&]() {
-        const bool stopping =
-            ckpt::stopRequested() ||
-            (cfg.interruptAfterResolved != 0 &&
-             resolved >= cfg.interruptAfterResolved);
-        const bool due = session != nullptr &&
-                         cfg.checkpointInterval != 0 &&
-                         resolved - lastSnapshotAt >=
-                             cfg.checkpointInterval;
-        if (!stopping && !due)
-            return;
-        if (session != nullptr) {
-            ckpt::SnapshotWriter writer;
-            saveAll(writer);
-            session->commitSnapshot(writer);
-            lastSnapshotAt = resolved;
-            if (traceS != nullptr)
-                traceS->instant(obs::kTrackCheckpoint, "checkpoint",
-                                now);
-        }
-        if (stopping)
-            throw InterruptedError(
-                "service run stopped after " +
-                    std::to_string(resolved) +
-                    " resolved requests (final checkpoint written)",
-                resolved);
-    };
-
-    bool resumed = false;
-    if (session != nullptr) {
-        if (auto reader = session->loadLatest()) {
-            restoreAll(*reader);
-            resumed = true;
-        }
-    }
-    if (!resumed)
+    harness.wire(saveAll, restoreAll);
+    if (!harness.resume())
         pull();
 
     // --- Scheduler loop ---------------------------------------------
@@ -573,7 +513,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
             progress = true;
         if (resolved != before) {
             progress = true;  // Admission sheds resolve arrivals.
-            maybeCheckpoint();
+            harness.atStep(resolved, now);
         }
 
         if (cfg.testForceStall) {
@@ -616,8 +556,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                     if (r.timelineSlot >= 0)
                         pool.release(static_cast<std::uint32_t>(
                             r.timelineSlot));
-                    shed(r.client, r.arrival,
-                         ShedReason::DeadlineExhausted);
+                    shed(r.arrival, ShedReason::DeadlineExhausted);
                     queue.erase(queue.begin() +
                                 static_cast<std::ptrdiff_t>(pick));
                     notePressure();
@@ -638,7 +577,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                                   r.seq, r.attempts);
                 }
                 progress = true;
-                maybeCheckpoint();
+                harness.atStep(resolved, now);
             } else {
                 // Issue the pick; one path access serves the primary
                 // and fans out to every queued same-address reader.
@@ -703,7 +642,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
                     obsPtr->onAccessBoundary(resolved, now, issueAt,
                                              res.forwardAt);
                 progress = true;
-                maybeCheckpoint();
+                harness.atStep(resolved, now);
             }
         }
 
@@ -770,10 +709,7 @@ ServicePipeline::run(ckpt::CheckpointSession *session)
 
     if (session != nullptr)
         session->removeSnapshots();
-    if (obsPtr != nullptr) {
-        obsPtr->finalSample(resolved, now);
-        obsPtr->close();
-    }
+    harness.finish(resolved, now);
     return stats;
 }
 

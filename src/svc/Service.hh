@@ -49,11 +49,6 @@
 #include "workload/Arrivals.hh"
 
 namespace sboram {
-
-namespace obs {
-class RunObserver;
-}
-
 namespace svc {
 
 /** Why a request was shed (the structured terminal outcome). */

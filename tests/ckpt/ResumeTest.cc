@@ -14,10 +14,7 @@
 #include <string>
 #include <vector>
 
-#include <dirent.h>
-#include <stdlib.h>
-#include <unistd.h>
-
+#include "../common/TempDir.hh"
 #include "../sim/SimTestUtil.hh"
 #include "../svc/ServiceTestUtil.hh"
 #include "ckpt/Checkpoint.hh"
@@ -27,43 +24,19 @@
 #include "svc/Service.hh"
 
 using namespace sboram;
+using sboram::test::TempDir;
 using sboram::test::expectSameMetrics;
+using sboram::test::interruptAfter;
+using sboram::test::resumeFrom;
 using sboram::test::expectSameServiceStats;
+using sboram::test::interruptService;
+using sboram::test::resumeService;
+using sboram::test::smallSystem;
 
 namespace {
 
 constexpr std::uint64_t kMisses = 1500;
 constexpr std::uint64_t kSeed = 99;
-
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        char tmpl[] = "/tmp/sbckpt-resume-XXXXXX";
-        const char *d = mkdtemp(tmpl);
-        EXPECT_NE(d, nullptr);
-        _path = d;
-    }
-
-    ~TempDir()
-    {
-        if (DIR *d = opendir(_path.c_str())) {
-            while (dirent *e = readdir(d)) {
-                const std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    ::unlink((_path + "/" + name).c_str());
-            }
-            closedir(d);
-        }
-        ::rmdir(_path.c_str());
-    }
-
-    const std::string &path() const { return _path; }
-
-  private:
-    std::string _path;
-};
 
 std::string
 slotFile(const std::string &dir, std::uint64_t key, unsigned slot)
@@ -82,18 +55,6 @@ flipByte(const std::string &path, std::size_t offset)
     ASSERT_GT(image.size(), offset);
     image[offset] ^= 0x40;
     ckpt::writeFileAtomic(path, image);
-}
-
-SystemConfig
-smallSystem(Scheme scheme)
-{
-    SystemConfig cfg;
-    cfg.scheme = scheme;
-    cfg.oram.dataBlocks = 1 << 14;
-    cfg.oram.posMapMode = PosMapMode::Recursive;
-    cfg.oram.onChipPosMapEntries = 1 << 10;
-    cfg.oram.seed = 3;
-    return cfg;
 }
 
 struct NamedConfig
@@ -153,32 +114,6 @@ resumeMatrix()
         matrix.push_back({"tiny-ooo", cfg});
     }
     return matrix;
-}
-
-/**
- * Run @p cfg with a snapshot every @p interval accesses until the
- * interrupt seam fires after @p stopAt (final snapshot written),
- * leaving both generations under @p dir.
- */
-void
-interruptAfter(SystemConfig cfg, const std::vector<LlcMissRecord> &trace,
-               const std::string &dir, std::uint64_t interval,
-               std::uint64_t stopAt)
-{
-    ckpt::CheckpointSession session(dir, configFingerprint(cfg));
-    cfg.checkpointInterval = interval;
-    cfg.interruptAfterAccesses = stopAt;
-    EXPECT_THROW(runSystem(cfg, trace, &session), InterruptedError);
-}
-
-/** Resume @p cfg from the snapshots under @p dir and run it out. */
-RunMetrics
-resumeFrom(SystemConfig cfg, const std::vector<LlcMissRecord> &trace,
-           const std::string &dir, std::uint64_t interval)
-{
-    ckpt::CheckpointSession session(dir, configFingerprint(cfg));
-    cfg.checkpointInterval = interval;
-    return runSystem(cfg, trace, &session);
 }
 
 /** Path of the newer of the two snapshot generations. */
@@ -442,15 +377,25 @@ TEST_F(CkptResume, StopRequestWritesFinalSnapshotThenResumes)
     const RunMetrics m0 = runSystem(cfg, trace);
 
     TempDir dir;
-    const std::uint64_t key = configFingerprint(cfg);
-    SystemConfig interrupted = cfg;
-    interrupted.checkpointInterval = 400;
-    ckpt::CheckpointSession first(dir.path(), key);
     ckpt::requestStop(); // What SIGINT/SIGTERM would set.
-    EXPECT_THROW(runSystem(interrupted, trace, &first),
-                 InterruptedError);
+    interruptAfter(cfg, trace, dir.path(), 400, 0);
     ckpt::clearStopForTesting();
     expectSameMetrics(m0, resumeFrom(cfg, trace, dir.path(), 400));
+}
+
+TEST_F(CkptResume, ObservedResumeFromUnobservedSnapshot)
+{
+    // kSectionObs is optional: a snapshot written with obs off
+    // resumes with metrics on, and the result is the same.
+    const auto trace = makeTrace("mcf", kMisses, kSeed);
+    const SystemConfig cfg = smallSystem(Scheme::Shadow);
+    TempDir dir, obsDir;
+    interruptAfter(cfg, trace, dir.path(), 157, 450);
+    SystemConfig observed = cfg;
+    observed.obs.metrics = true;
+    observed.obs.dir = obsDir.path();
+    expectSameMetrics(runSystem(cfg, trace),
+                      resumeFrom(observed, trace, dir.path(), 157));
 }
 
 TEST_F(CkptResume, RunnerAnswersCompletedPointFromDoneMarker)
@@ -505,30 +450,13 @@ namespace {
 svc::ServiceConfig
 serviceResumeConfig()
 {
-    svc::ServiceConfig cfg;
-    cfg.oram.dataBlocks = 1 << 10;
-    cfg.oram.posMapMode = PosMapMode::OnChip;
-    cfg.oram.stashCapacity = 200;
-    cfg.oram.seed = 7;
+    svc::ServiceConfig cfg = test::overloadService();
     cfg.oram.payloadEnabled = true;
     cfg.oram.fault.rate = 0.05;
     cfg.oram.fault.seed = 97;
     cfg.oram.fault.onUnrecoverable = UnrecoverablePolicy::Count;
     cfg.shadow.mode = ShadowMode::DynamicPartition;
-    cfg.arrivals.kind = ArrivalKind::Bursty;
-    cfg.arrivals.clients = 1000;
-    cfg.arrivals.addressBlocks = 256;
-    cfg.arrivals.meanGapCycles = 400.0;
-    cfg.arrivals.burstFactor = 6.0;
-    cfg.arrivals.burstOnCycles = 60'000;
-    cfg.arrivals.burstOffCycles = 120'000;
-    cfg.arrivals.seed = 21;
     cfg.requests = 600;
-    cfg.queueCapacity = 32;
-    cfg.queueHighWatermark = 24;
-    cfg.queueLowWatermark = 8;
-    cfg.deadline = 30'000;
-    cfg.maxRetries = 1;
     // Not fingerprinted; on so the SLO tuple is live in the snapshot.
     cfg.slo.latencyBound = 20'000;
     cfg.slo.windowRequests = 64;
@@ -560,26 +488,19 @@ TEST_F(CkptResume, ServiceRunKilledMidStreamResumesBitIdentically)
         EXPECT_GT(s0.sloWindows, 4u);
 
         TempDir dir;
-        const std::uint64_t key = svc::serviceConfigFingerprint(cfg);
+        interruptService(cfg, dir.path(), 50, 250);
         {
-            svc::ServiceConfig interrupted = cfg;
-            interrupted.checkpointInterval = 50;
-            interrupted.interruptAfterResolved = 250;
-            ckpt::CheckpointSession session(dir.path(), key);
-            EXPECT_THROW(svc::runService(interrupted, &session),
-                         InterruptedError);
+            ckpt::CheckpointSession session(
+                dir.path(), svc::serviceConfigFingerprint(cfg));
             auto latest = session.loadLatest();
             ASSERT_NE(latest, nullptr);
             EXPECT_EQ(latest->hasSection(ckpt::kSectionPolicy),
                       scheme == Scheme::Shadow);
         }
-        // The resumed config clears the interrupt seam (it already
-        // fired); the fingerprint ignores both cadence fields, so the
-        // session still addresses the same snapshot files.
-        svc::ServiceConfig resumed = cfg;
-        resumed.checkpointInterval = 50;
-        ckpt::CheckpointSession session(dir.path(), key);
-        expectSameServiceStats(s0, svc::runService(resumed, &session));
+        // The resume clears the interrupt seam (it already fired);
+        // the fingerprint ignores both cadence fields, so the session
+        // still addresses the same snapshot files.
+        expectSameServiceStats(s0, resumeService(cfg, dir.path(), 50));
     }
 }
 
@@ -589,20 +510,22 @@ TEST_F(CkptResume, ServiceStopRequestWritesFinalSnapshotThenResumes)
     const svc::ServiceStats s0 = svc::runService(cfg);
 
     TempDir dir;
-    const std::uint64_t key = svc::serviceConfigFingerprint(cfg);
-    {
-        svc::ServiceConfig interrupted = cfg;
-        interrupted.checkpointInterval = 100;
-        ckpt::CheckpointSession session(dir.path(), key);
-        ckpt::requestStop();  // What SIGINT/SIGTERM would set.
-        EXPECT_THROW(svc::runService(interrupted, &session),
-                     InterruptedError);
-        ckpt::clearStopForTesting();
-    }
-    svc::ServiceConfig resumed = cfg;
-    resumed.checkpointInterval = 100;
-    ckpt::CheckpointSession session(dir.path(), key);
-    expectSameServiceStats(s0, svc::runService(resumed, &session));
+    ckpt::requestStop();  // What SIGINT/SIGTERM would set.
+    interruptService(cfg, dir.path(), 100, 0);
+    ckpt::clearStopForTesting();
+    expectSameServiceStats(s0, resumeService(cfg, dir.path(), 100));
+}
+
+TEST_F(CkptResume, ServiceObservedResumeFromUnobservedSnapshot)
+{
+    const svc::ServiceConfig cfg = serviceResumeConfig();
+    TempDir dir, obsDir;
+    interruptService(cfg, dir.path(), 50, 250);
+    svc::ServiceConfig observed = cfg;
+    observed.obs.metrics = true;
+    observed.obs.dir = obsDir.path();
+    expectSameServiceStats(svc::runService(cfg),
+                           resumeService(observed, dir.path(), 50));
 }
 
 namespace {

@@ -13,64 +13,17 @@
 #include <string>
 #include <vector>
 
-#include <dirent.h>
-#include <stdlib.h>
-#include <unistd.h>
-
+#include "../common/TempDir.hh"
 #include "ckpt/Snapshot.hh"
 #include "common/Errors.hh"
 
 using namespace sboram;
+using sboram::test::TempDir;
 using namespace sboram::ckpt;
 
 namespace {
 
 /** Self-deleting temp directory for file-level tests. */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        char tmpl[] = "/tmp/sbckpt-test-XXXXXX";
-        const char *d = mkdtemp(tmpl);
-        EXPECT_NE(d, nullptr);
-        _path = d;
-    }
-
-    ~TempDir()
-    {
-        if (DIR *d = opendir(_path.c_str())) {
-            while (dirent *e = readdir(d)) {
-                const std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    ::unlink((_path + "/" + name).c_str());
-            }
-            closedir(d);
-        }
-        ::rmdir(_path.c_str());
-    }
-
-    const std::string &path() const { return _path; }
-
-    std::vector<std::string>
-    entries() const
-    {
-        std::vector<std::string> names;
-        if (DIR *d = opendir(_path.c_str())) {
-            while (dirent *e = readdir(d)) {
-                const std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    names.push_back(name);
-            }
-            closedir(d);
-        }
-        return names;
-    }
-
-  private:
-    std::string _path;
-};
-
 std::vector<std::uint8_t>
 sampleImage(std::uint64_t seq = 7, std::uint64_t fingerprint = 0x1234)
 {

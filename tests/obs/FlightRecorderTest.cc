@@ -107,7 +107,7 @@ TEST(FlightRecorder, KindVocabularyIsTotal)
     // Every enum value renders a non-placeholder name; the dump
     // vocabulary and the enum must never drift apart.
     for (std::uint8_t k = 0;
-         k <= static_cast<std::uint8_t>(FlightKind::Checkpoint); ++k) {
+         k <= static_cast<std::uint8_t>(FlightKind::Corruption); ++k) {
         const char *name =
             flightKindName(static_cast<FlightKind>(k));
         ASSERT_NE(name, nullptr);

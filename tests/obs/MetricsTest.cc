@@ -27,6 +27,20 @@ TEST(MetricRegistry, CountersKeepIdentityAcrossLookups)
     EXPECT_EQ(reg.counterCount(), 1u);
 }
 
+TEST(MetricRegistry, SinksStayPutAsMoreRegister)
+{
+    // Drivers keep pointers to sinks registered before their own.
+    MetricRegistry reg;
+    Counter *c = &reg.counter(kMetricCheckpoints);
+    HistogramSink *h = &reg.histogramLog2(kMetricReqLatency, 8);
+    for (const char *n : {"a", "b", "c", "d", "e", "f", "g", "h", "i"}) {
+        reg.counter(n);
+        reg.histogramLog2(n, 8);
+    }
+    EXPECT_EQ(c, &reg.counter(kMetricCheckpoints));
+    EXPECT_EQ(h, &reg.histogramLog2(kMetricReqLatency, 8));
+}
+
 TEST(MetricRegistry, SampleOrderIsCountersThenGauges)
 {
     MetricRegistry reg;

@@ -3,89 +3,60 @@
  * End-to-end observability: a traced/metered run emits valid,
  * deterministic artifacts; the same point produces byte-identical
  * artifacts on a 1-thread and a multi-thread ExperimentRunner; and a
- * run interrupted into a checkpoint and resumed emits the same metric
- * rows as an uninterrupted run (no lost or double-counted samples).
+ * run of either driver interrupted into a checkpoint and resumed emits
+ * the same metric rows as an uninterrupted one (none lost or doubled).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <dirent.h>
-#include <stdlib.h>
-#include <unistd.h>
-
+#include "../common/TempDir.hh"
 #include "../sim/SimTestUtil.hh"
+#include "../svc/ServiceTestUtil.hh"
 #include "ckpt/Checkpoint.hh"
 #include "common/Errors.hh"
 #include "obs/Json.hh"
 #include "obs/MetricNames.hh"
 #include "sim/ExperimentRunner.hh"
+#include "svc/Service.hh"
 
 using namespace sboram;
+using sboram::test::TempDir;
 
 namespace {
 
 constexpr std::uint64_t kMisses = 1200;
 constexpr std::uint64_t kSeed = 99;
 
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        char tmpl[] = "/tmp/sbobs-XXXXXX";
-        const char *d = mkdtemp(tmpl);
-        EXPECT_NE(d, nullptr);
-        _path = d;
-    }
-
-    ~TempDir()
-    {
-        if (DIR *d = opendir(_path.c_str())) {
-            while (dirent *e = readdir(d)) {
-                const std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    ::unlink((_path + "/" + name).c_str());
-            }
-            closedir(d);
-        }
-        ::rmdir(_path.c_str());
-    }
-
-    const std::string &path() const { return _path; }
-
-  private:
-    std::string _path;
-};
-
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    const std::vector<std::uint8_t> bytes = ckpt::readFile(path);
+    return std::string(bytes.begin(), bytes.end());
 }
 
 SystemConfig
 observedSystem(Scheme scheme, const std::string &dir,
                const std::string &label)
 {
-    SystemConfig cfg;
-    cfg.scheme = scheme;
-    cfg.oram.dataBlocks = 1 << 14;
-    cfg.oram.posMapMode = PosMapMode::Recursive;
-    cfg.oram.onChipPosMapEntries = 1 << 10;
-    cfg.oram.seed = 3;
+    SystemConfig cfg = test::smallSystem(scheme);
     cfg.obs.trace = true;
     cfg.obs.metrics = true;
     cfg.obs.interval = 200;
+    cfg.obs.dir = dir;
+    cfg.obs.label = label;
+    return cfg;
+}
+
+svc::ServiceConfig
+observedService(const std::string &dir, const std::string &label)
+{
+    svc::ServiceConfig cfg = test::smallService();
+    cfg.obs.metrics = true;
+    cfg.obs.interval = 50;
     cfg.obs.dir = dir;
     cfg.obs.label = label;
     return cfg;
@@ -124,6 +95,18 @@ stripCkptColumn(std::string text)
         text.erase(pos, end - pos);
     }
     return text;
+}
+
+/** The snapshot count in the last row of a metrics JSONL document. */
+std::uint64_t
+lastCkptCount(const std::string &text)
+{
+    const std::string key = "\"" + std::string(obs::kMetricCheckpoints) +
+                            "\": ";
+    const std::size_t pos = text.rfind(key);
+    return pos == std::string::npos
+               ? 0
+               : std::stoull(text.substr(pos + key.size()));
 }
 
 } // namespace
@@ -217,24 +200,10 @@ TEST(Observer, MetricsSurviveCheckpointRestoreWithoutDoubleCounting)
     // Interrupt at 450 (snapshot carries the sampler rows), resume to
     // completion.  The interrupted attempt never closes, so only the
     // resumed attempt writes artifacts.
-    SystemConfig cfg =
+    const SystemConfig cfg =
         observedSystem(Scheme::Shadow, obsResumed.path(), "resumed");
-    const std::uint64_t key = configFingerprint(cfg);
-
-    SystemConfig interrupted = cfg;
-    interrupted.checkpointInterval = 157;
-    interrupted.interruptAfterAccesses = 450;
-    {
-        ckpt::CheckpointSession first(ckptDir.path(), key);
-        EXPECT_THROW(runSystem(interrupted, trace, &first),
-                     InterruptedError);
-    }
-    SystemConfig resumed = cfg;
-    resumed.checkpointInterval = 157;
-    {
-        ckpt::CheckpointSession second(ckptDir.path(), key);
-        runSystem(resumed, trace, &second);
-    }
+    test::interruptAfter(cfg, trace, ckptDir.path(), 157, 450);
+    test::resumeFrom(cfg, trace, ckptDir.path(), 157);
 
     const std::string full =
         readFile(obsBase.path() + "/metrics-full.jsonl");
@@ -244,4 +213,26 @@ TEST(Observer, MetricsSurviveCheckpointRestoreWithoutDoubleCounting)
     // Identical rows modulo the snapshot counter (the resumed run
     // commits extra checkpoints by construction).
     EXPECT_EQ(stripCkptColumn(full), stripCkptColumn(res));
+}
+
+TEST(Observer, ServiceMetricsSurviveCheckpointRestoreWithoutDoubleCounting)
+{
+    TempDir obsBase, obsResumed, ckptDir;
+    ckpt::clearStopForTesting();
+
+    svc::runService(observedService(obsBase.path(), "full"), nullptr);
+
+    const svc::ServiceConfig cfg =
+        observedService(obsResumed.path(), "resumed");
+    test::interruptService(cfg, ckptDir.path(), 97, 250);
+    test::resumeService(cfg, ckptDir.path(), 97);
+
+    const std::string full =
+        readFile(obsBase.path() + "/metrics-full.jsonl");
+    const std::string res =
+        readFile(obsResumed.path() + "/metrics-resumed.jsonl");
+    EXPECT_TRUE(obs::validateJsonl(res).ok);
+    EXPECT_EQ(stripCkptColumn(full), stripCkptColumn(res));
+    // Service runs count their snapshots like System runs do.
+    EXPECT_GT(lastCkptCount(res), 0u);
 }

@@ -12,14 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../common/TempDir.hh"
 #include "../svc/ServiceTestUtil.hh"
 #include "ckpt/Checkpoint.hh"
 #include "ckpt/Serde.hh"
@@ -33,59 +31,21 @@
 #include "svc/Service.hh"
 
 using namespace sboram;
+using sboram::test::TempDir;
 using namespace sboram::obs;
 
 namespace {
-
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        char tmpl[] = "/tmp/sbreqobs-XXXXXX";
-        const char *d = mkdtemp(tmpl);
-        EXPECT_NE(d, nullptr);
-        _path = d ? d : "";
-    }
-    ~TempDir()
-    {
-        if (!_path.empty()) {
-            const std::string cmd = "rm -rf " + _path;
-            if (system(cmd.c_str()) != 0) {
-            }
-        }
-    }
-    const std::string &path() const { return _path; }
-
-  private:
-    std::string _path;
-};
 
 /** Overloaded bursty point: retries, backoff, dedup, sheds and
  *  backpressure all fire, so every stage gets samples. */
 svc::ServiceConfig
 obsServiceConfig()
 {
-    svc::ServiceConfig cfg;
-    cfg.oram.dataBlocks = 1 << 10;
-    cfg.oram.posMapMode = PosMapMode::OnChip;
-    cfg.oram.stashCapacity = 200;
-    cfg.oram.seed = 7;
-    cfg.shadow.mode = ShadowMode::HdOnly;
-    cfg.arrivals.kind = ArrivalKind::Bursty;
-    cfg.arrivals.clients = 1000;
-    cfg.arrivals.addressBlocks = 256;
+    svc::ServiceConfig cfg = test::overloadService();
     cfg.arrivals.zipfAlpha = 1.0;
     cfg.arrivals.writeFraction = 0.2;
     cfg.arrivals.meanGapCycles = 1800.0;
-    cfg.arrivals.burstFactor = 6.0;
-    cfg.arrivals.burstOnCycles = 60'000;
-    cfg.arrivals.burstOffCycles = 120'000;
-    cfg.arrivals.seed = 21;
     cfg.requests = 600;
-    cfg.queueCapacity = 32;
-    cfg.queueHighWatermark = 24;
-    cfg.queueLowWatermark = 8;
     // Tight deadline + a generous retry ladder: requests that miss
     // during a burst back off repeatedly and complete in the off
     // phase, so the retry-backoff stage gets real samples; the
@@ -332,18 +292,11 @@ TEST(RequestObs, KillAndResumeReproducesObsArtifacts)
     ASSERT_GT(s0.requestsShed, 0u);
 
     TempDir dir;
-    const std::uint64_t key = svc::serviceConfigFingerprint(cfg);
-    {
-        svc::ServiceConfig interrupted = cfg;
-        interrupted.checkpointInterval = 50;
-        interrupted.interruptAfterResolved = 250;
-        ckpt::CheckpointSession session(dir.path(), key);
-        EXPECT_THROW(svc::runService(interrupted, &session),
-                     InterruptedError);
-    }
+    test::interruptService(cfg, dir.path(), 50, 250);
     svc::ServiceConfig resumed = cfg;
     resumed.checkpointInterval = 50;
-    ckpt::CheckpointSession session(dir.path(), key);
+    ckpt::CheckpointSession session(dir.path(),
+                                    svc::serviceConfigFingerprint(cfg));
     const auto [s1, art1] = runWithArtifacts(resumed, &session);
 
     // The kSectionReqObs section must carry the sampler, accumulator,

@@ -13,20 +13,9 @@
 
 using namespace sboram;
 using sboram::test::expectSameMetrics;
+using sboram::test::smallSystem;
 
 namespace {
-
-SystemConfig
-smallSystem(Scheme scheme)
-{
-    SystemConfig cfg;
-    cfg.scheme = scheme;
-    cfg.oram.dataBlocks = 1 << 14;
-    cfg.oram.posMapMode = PosMapMode::Recursive;
-    cfg.oram.onChipPosMapEntries = 1 << 10;
-    cfg.oram.seed = 3;
-    return cfg;
-}
 
 constexpr std::uint64_t kMisses = 1200;
 constexpr std::uint64_t kSeed = 99;

@@ -5,9 +5,27 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "ckpt/Checkpoint.hh"
+#include "common/Errors.hh"
 #include "sim/System.hh"
 
 namespace sboram::test {
+
+/** A 2^14-block, recursive-posmap system: seconds-scale runs. */
+inline SystemConfig
+smallSystem(Scheme scheme)
+{
+    SystemConfig cfg;
+    cfg.scheme = scheme;
+    cfg.oram.dataBlocks = 1 << 14;
+    cfg.oram.posMapMode = PosMapMode::Recursive;
+    cfg.oram.onChipPosMapEntries = 1 << 10;
+    cfg.oram.seed = 3;
+    return cfg;
+}
 
 /** Every RunMetrics field agrees, doubles bit for bit. */
 inline void
@@ -40,6 +58,32 @@ expectSameMetrics(const RunMetrics &a, const RunMetrics &b)
     EXPECT_EQ(a.rollbacks, b.rollbacks);
     EXPECT_EQ(a.replayedAccesses, b.replayedAccesses);
     EXPECT_EQ(a.missRetireTimes, b.missRetireTimes);
+}
+
+/**
+ * Run @p cfg with a snapshot every @p interval accesses until the
+ * interrupt seam fires after @p stopAt (0: on a stop request) and
+ * the final snapshot is written, leaving both generations in @p dir.
+ */
+inline void
+interruptAfter(SystemConfig cfg, const std::vector<LlcMissRecord> &trace,
+               const std::string &dir, std::uint64_t interval,
+               std::uint64_t stopAt)
+{
+    ckpt::CheckpointSession session(dir, configFingerprint(cfg));
+    cfg.checkpointInterval = interval;
+    cfg.interruptAfterAccesses = stopAt;
+    EXPECT_THROW(runSystem(cfg, trace, &session), InterruptedError);
+}
+
+/** Resume @p cfg from the snapshots under @p dir and run it out. */
+inline RunMetrics
+resumeFrom(SystemConfig cfg, const std::vector<LlcMissRecord> &trace,
+           const std::string &dir, std::uint64_t interval)
+{
+    ckpt::CheckpointSession session(dir, configFingerprint(cfg));
+    cfg.checkpointInterval = interval;
+    return runSystem(cfg, trace, &session);
 }
 
 } // namespace sboram::test

@@ -4,20 +4,9 @@
 #include "sim/System.hh"
 
 using namespace sboram;
+using sboram::test::smallSystem;
 
 namespace {
-
-SystemConfig
-smallSystem(Scheme scheme)
-{
-    SystemConfig cfg;
-    cfg.scheme = scheme;
-    cfg.oram.dataBlocks = 1 << 14;
-    cfg.oram.posMapMode = PosMapMode::Recursive;
-    cfg.oram.onChipPosMapEntries = 1 << 10;
-    cfg.oram.seed = 3;
-    return cfg;
-}
 
 constexpr std::uint64_t kMisses = 2500;
 

@@ -27,43 +27,6 @@ using namespace sboram::test;
 
 namespace {
 
-/** Small functional service point: on-chip posmap, hot Zipf space. */
-svc::ServiceConfig
-serviceConfig()
-{
-    svc::ServiceConfig cfg;
-    cfg.oram.dataBlocks = 1 << 10;
-    cfg.oram.posMapMode = PosMapMode::OnChip;
-    cfg.oram.stashCapacity = 200;
-    cfg.oram.seed = 7;
-    cfg.shadow.mode = ShadowMode::HdOnly;
-    cfg.arrivals.clients = 1000;
-    cfg.arrivals.addressBlocks = 256;
-    cfg.arrivals.meanGapCycles = 2500.0;
-    cfg.arrivals.seed = 21;
-    cfg.requests = 500;
-    cfg.queueCapacity = 32;
-    cfg.queueHighWatermark = 24;
-    cfg.queueLowWatermark = 8;
-    cfg.deadline = 120'000;
-    return cfg;
-}
-
-/** Bursty arrivals well past the drain rate: the overload drill. */
-svc::ServiceConfig
-overloadConfig()
-{
-    svc::ServiceConfig cfg = serviceConfig();
-    cfg.arrivals.kind = ArrivalKind::Bursty;
-    cfg.arrivals.meanGapCycles = 400.0;
-    cfg.arrivals.burstFactor = 6.0;
-    cfg.arrivals.burstOnCycles = 60'000;
-    cfg.arrivals.burstOffCycles = 120'000;
-    cfg.deadline = 30'000;
-    cfg.maxRetries = 1;
-    return cfg;
-}
-
 ArrivalRecord
 at(Cycles arrival, Addr addr, bool isWrite, std::uint64_t client = 0)
 {
@@ -79,7 +42,7 @@ at(Cycles arrival, Addr addr, bool isWrite, std::uint64_t client = 0)
 
 TEST(Service, EveryArrivalReachesOneTerminalOutcome)
 {
-    const svc::ServiceStats s = svc::runService(serviceConfig());
+    const svc::ServiceStats s = svc::runService(smallService());
     EXPECT_EQ(s.arrivals, 500u);
     EXPECT_EQ(s.completed + s.requestsShed, s.arrivals);
     EXPECT_EQ(s.availability(), 1.0);
@@ -94,14 +57,14 @@ TEST(Service, SchedulingIsAPureFunctionOfTheConfig)
 {
     // Two fresh pipelines over the same config — including the
     // overload machinery — must agree on every stat bit for bit.
-    const svc::ServiceStats a = svc::runService(overloadConfig());
-    const svc::ServiceStats b = svc::runService(overloadConfig());
+    const svc::ServiceStats a = svc::runService(overloadService());
+    const svc::ServiceStats b = svc::runService(overloadService());
     expectSameServiceStats(a, b);
 }
 
 TEST(Service, DedupFansOnePathReadOutToAllWaitingReaders)
 {
-    svc::ServiceConfig cfg = serviceConfig();
+    svc::ServiceConfig cfg = smallService();
     svc::ServicePipeline pipeline(cfg);
     // Four readers of the same block arrive together; one path read
     // must serve all of them.  The write to another block stays its
@@ -121,7 +84,7 @@ TEST(Service, WritesNeverFanOut)
 {
     // Write-after-write to one address must stay three serialized
     // path accesses: joining writes would drop updates.
-    svc::ServiceConfig cfg = serviceConfig();
+    svc::ServiceConfig cfg = smallService();
     svc::ServicePipeline pipeline(cfg);
     pipeline.injectArrivals(
         {at(0, 5, true), at(0, 5, true), at(0, 5, true)});
@@ -136,7 +99,7 @@ TEST(Service, DedupHoldsUnderFaultInjection)
     // Fan-out correctness with the fault machinery live: faults are
     // healed (or counted) inside the primary's path access, so the
     // joined readers still complete and the join count is unchanged.
-    svc::ServiceConfig cfg = serviceConfig();
+    svc::ServiceConfig cfg = smallService();
     cfg.oram.payloadEnabled = true;
     cfg.oram.fault.rate = 0.05;
     cfg.oram.fault.seed = 97;
@@ -159,7 +122,7 @@ TEST(Service, DedupHoldsUnderFaultInjection)
 
 TEST(Service, OverloadShedsDeterministicallyWithABoundedQueue)
 {
-    const svc::ServiceConfig cfg = overloadConfig();
+    const svc::ServiceConfig cfg = overloadService();
     const svc::ServiceStats s = svc::runService(cfg);
     // Overload is real, every request still terminates, and the
     // queue never outgrew its bound.
@@ -182,7 +145,7 @@ TEST(Service, DeadlineExpiryRetriesWithBackoffThenSheds)
     // A backlog of writes (no dedup relief) against a deadline much
     // shorter than the drain time: early requests complete, the tail
     // walks deadline-miss -> jittered retry -> structured shed.
-    svc::ServiceConfig cfg = serviceConfig();
+    svc::ServiceConfig cfg = smallService();
     cfg.deadline = 3000;
     cfg.maxRetries = 1;
     cfg.retryBackoffCycles = 500;
@@ -206,7 +169,7 @@ TEST(Service, DeadlineExpiryRetriesWithBackoffThenSheds)
 
 TEST(Service, WatchdogConvertsAStallIntoAStructuredError)
 {
-    svc::ServiceConfig cfg = serviceConfig();
+    svc::ServiceConfig cfg = smallService();
     cfg.testForceStall = true;
     cfg.watchdogBound = 64;
     svc::ServicePipeline pipeline(cfg);
@@ -233,7 +196,7 @@ TEST(Service, ControlSequenceReplayReproducesTheTraceExactly)
     // issued control sequence.  Replaying the recorded sequence
     // against a bare controller (same OramConfig/policy, arbitrary
     // issue times) must reproduce the trace bit for bit.
-    svc::ServiceConfig cfg = overloadConfig();
+    svc::ServiceConfig cfg = overloadService();
     cfg.oram.payloadEnabled = true;
     cfg.oram.fault.rate = 0.02;
     cfg.oram.fault.seed = 97;
@@ -283,10 +246,10 @@ TEST(Service, ShadowForwardingCutsServiceLatency)
     // same arrival stream, duplication on vs off — shadow copies
     // complete reads at forwardAt, well before the path access
     // retires, so the latency distribution shifts left.
-    svc::ServiceConfig hd = serviceConfig();
+    svc::ServiceConfig hd = smallService();
     const svc::ServiceStats withShadow = svc::runService(hd);
 
-    svc::ServiceConfig tiny = serviceConfig();
+    svc::ServiceConfig tiny = smallService();
     tiny.scheme = Scheme::Tiny;
     const svc::ServiceStats without = svc::runService(tiny);
 
@@ -297,7 +260,7 @@ TEST(Service, ShadowForwardingCutsServiceLatency)
 
 TEST(Service, FingerprintIgnoresCadenceButSeesSemantics)
 {
-    const svc::ServiceConfig base = serviceConfig();
+    const svc::ServiceConfig base = smallService();
     const std::uint64_t fp = svc::serviceConfigFingerprint(base);
     EXPECT_EQ(fp, svc::serviceConfigFingerprint(base));
 

@@ -5,11 +5,51 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
+#include "ckpt/Checkpoint.hh"
+#include "common/Errors.hh"
 #include "svc/Service.hh"
 
 namespace sboram::test {
+
+/** Small functional service point: on-chip posmap, hot Zipf space. */
+inline svc::ServiceConfig
+smallService()
+{
+    svc::ServiceConfig cfg;
+    cfg.oram.dataBlocks = 1 << 10;
+    cfg.oram.posMapMode = PosMapMode::OnChip;
+    cfg.oram.stashCapacity = 200;
+    cfg.oram.seed = 7;
+    cfg.shadow.mode = ShadowMode::HdOnly;
+    cfg.arrivals.clients = 1000;
+    cfg.arrivals.addressBlocks = 256;
+    cfg.arrivals.meanGapCycles = 2500.0;
+    cfg.arrivals.seed = 21;
+    cfg.requests = 500;
+    cfg.queueCapacity = 32;
+    cfg.queueHighWatermark = 24;
+    cfg.queueLowWatermark = 8;
+    cfg.deadline = 120'000;
+    return cfg;
+}
+
+/** Bursty arrivals well past the drain rate: the overload drill. */
+inline svc::ServiceConfig
+overloadService()
+{
+    svc::ServiceConfig cfg = smallService();
+    cfg.arrivals.kind = ArrivalKind::Bursty;
+    cfg.arrivals.meanGapCycles = 400.0;
+    cfg.arrivals.burstFactor = 6.0;
+    cfg.arrivals.burstOnCycles = 60'000;
+    cfg.arrivals.burstOffCycles = 120'000;
+    cfg.deadline = 30'000;
+    cfg.maxRetries = 1;
+    return cfg;
+}
 
 /** Every stat a service run reports — scheduler counters, latency,
  *  stage attribution, SLO tuple and controller counters — agrees. */
@@ -56,6 +96,33 @@ expectSameServiceStats(const svc::ServiceStats &a,
     EXPECT_EQ(a.oram.faultsDetected, b.oram.faultsDetected);
     EXPECT_EQ(a.oram.faultsRecovered, b.oram.faultsRecovered);
     EXPECT_EQ(a.oram.faultsUnrecoverable, b.oram.faultsUnrecoverable);
+}
+
+/**
+ * Run @p cfg with a snapshot every @p interval resolved requests
+ * until the interrupt seam fires after @p stopAt (0: on a stop
+ * request), leaving both generations under @p dir.
+ */
+inline void
+interruptService(svc::ServiceConfig cfg, const std::string &dir,
+                 std::uint64_t interval, std::uint64_t stopAt)
+{
+    ckpt::CheckpointSession session(dir,
+                                    svc::serviceConfigFingerprint(cfg));
+    cfg.checkpointInterval = interval;
+    cfg.interruptAfterResolved = stopAt;
+    EXPECT_THROW(svc::runService(cfg, &session), InterruptedError);
+}
+
+/** Resume @p cfg from the snapshots under @p dir and run it out. */
+inline svc::ServiceStats
+resumeService(svc::ServiceConfig cfg, const std::string &dir,
+              std::uint64_t interval)
+{
+    ckpt::CheckpointSession session(dir,
+                                    svc::serviceConfigFingerprint(cfg));
+    cfg.checkpointInterval = interval;
+    return svc::runService(cfg, &session);
 }
 
 } // namespace sboram::test

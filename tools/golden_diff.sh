@@ -15,6 +15,11 @@
 # the BENCH_*.json, flightrec-*.json and exemplars-*.jsonl files it
 # writes.
 #
+# An observed pass then reruns fig10 and fig15 (Insecure, Tiny and
+# Shadow) with tracing, metrics and checkpointing on and also diffs
+# each run's trace-<label>.json and metrics-<label>.jsonl, which
+# carry the "checkpoint" instants and the ckpt.snapshots column.
+#
 # Prints nothing and exits 0 when every golden is byte-identical;
 # otherwise prints the diffs and exits 1.  Not a ctest: it needs two
 # builds.  SB_BENCH_THREADS and other SB_BENCH_* knobs pass through.
@@ -59,7 +64,31 @@ run()
     done
 }
 
+# observe <build-dir> <side>: the observed pass into
+# $WORK/<side>/observed/<surface>.  Each run gets a fresh checkpoint
+# dir: a reused one answers points from their .done markers and
+# writes no artifacts.
+observe()
+{
+    for s in bench/fig10_dri_counter_width bench/fig15_slowdown_tp; do
+        dir="$WORK/$2/observed/$s"
+        mkdir -p "$dir/ckpt"
+        code=0
+        (cd "$dir" && SB_BENCH_QUICK=1 SB_BENCH_REGRESSION=0 \
+            SB_OBS_TRACE=1 SB_OBS_METRICS=1 SB_OBS_INTERVAL=100 \
+            SB_CKPT_INTERVAL=150 SB_CKPT_DIR="$dir/ckpt" \
+            "$1/$s" >stdout.txt 2>stderr.txt) || code=$?
+        echo "exit $code" >"$dir/exit.txt"
+        # The runner-lane trace and the manifest carry wall times.
+        find "$dir" -mindepth 1 \( -name stderr.txt -o -name 'manifest-*' \
+            -o -name trace-runner.json -o -type d \) -prune \
+            -exec rm -rf {} +
+    done
+}
+
 run "$A" parent
 run "$B" change
+observe "$A" parent
+observe "$B" change
 
 diff -r "$WORK/parent" "$WORK/change"
