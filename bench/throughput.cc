@@ -14,6 +14,10 @@
  * to the binary; the simulated metrics are asserted identical between
  * the warm-up and the timed pass, so a nondeterministic access path
  * cannot hide behind a throughput report.
+ *
+ * Absolute rates move with the host and its load; the shadow/tiny
+ * rate ratios, measured in one process a few seconds apart, mostly
+ * cancel both and are reported alongside (not gated).
  */
 
 #include <chrono>
@@ -102,6 +106,15 @@ runBench()
         }
     }
 
+    // Same-process ratios against the Tiny baseline (rows[0]).
+    std::vector<double> ratios;
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        const double tiny = rows[0].accessesPerSec;
+        ratios.push_back(tiny > 0.0 ? rows[i].accessesPerSec / tiny
+                                    : 0.0);
+        std::printf("  %s/tiny %.3f\n", rows[i].name, ratios.back());
+    }
+
     if (FILE *f = std::fopen("BENCH_throughput.json", "w")) {
         std::fprintf(f,
                      "{\n"
@@ -119,6 +132,11 @@ runBench()
                          rows[i].name, rows[i].seconds,
                          rows[i].accessesPerSec,
                          i + 1 < rows.size() ? "," : "");
+        }
+        std::fprintf(f, "  },\n  \"ratios_vs_tiny\": {\n");
+        for (std::size_t i = 0; i < ratios.size(); ++i) {
+            std::fprintf(f, "    \"%s\": %.3f%s\n", rows[i + 1].name,
+                         ratios[i], i + 1 < ratios.size() ? "," : "");
         }
         std::fprintf(f, "  }\n}\n");
         std::fclose(f);

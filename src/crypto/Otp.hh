@@ -20,7 +20,16 @@
  * (identical to the sequence that per-slot encryptInto calls would
  * have drawn — the nonce sequence is a determinism contract), the
  * whole keystream is generated into one scratch buffer via PrfStream,
- * then lanes are XORed and tags chained per slot.
+ * then lanes are XORed and the slots' tags computed.  verifyBatch()
+ * is its read-side twin: the verdicts of every slot a path read
+ * takes, in one call.
+ *
+ * Every tag — batch or single, encrypt or verify — comes from one
+ * kernel, tagGroup().  A tag is a serial PRF chain (each link keys
+ * the next), so one chain is latency-bound; the chains of different
+ * slots are independent, so the kernel advances up to kTagGroup of
+ * them in lockstep and the core overlaps their multiplies.  The tag
+ * bits do not depend on how slots are grouped.
  */
 
 #ifndef SBORAM_CRYPTO_OTP_HH
@@ -123,16 +132,17 @@ class OtpCodec
         const PrfStream ks(_key, *out.nonce);
         for (std::uint64_t i = 0; i < out.words; ++i)
             out.lanes[i] = plain[i] ^ ks.lane(i);
-        *out.tag = computeTag(*out.nonce, out.lanes, out.words);
+        const CipherView view(out);
+        tagGroup(&view, 1, out.tag);
     }
 
     /**
      * Batch-encrypt @p count slots of @p words lanes each: assigns
      * nonces in array order, generates the keystream for all slots in
      * one pass into @p ksScratch (caller-pooled, >= count*words
-     * words), then XORs and tags each slot.  Nonce sequence and
-     * ciphertext bits are identical to count successive encryptRef
-     * calls.
+     * words), then XORs the pads in and runs the tag kernel over
+     * groups of kTagGroup slots.  Nonce sequence and ciphertext bits
+     * are identical to count successive encryptRef calls.
      */
     SB_HOT void encryptBatch(const std::uint64_t *const *plains,
                              const CipherRef *outs, std::size_t count,
@@ -159,28 +169,41 @@ class OtpCodec
             plain[i] = ct.lanes[i] ^ ks.lane(i);
     }
 
-    /** True when the ciphertext's tag authenticates. */
+    /** True when the ciphertext's tag authenticates (verifyBatch's
+     *  count-1 case). */
     bool
     verify(CipherView ct) const
     {
-        return *ct.tag == computeTag(*ct.nonce, ct.lanes, ct.words);
+        std::uint64_t tag;
+        tagGroup(&ct, 1, &tag);
+        return *ct.tag == tag;
     }
+
+    /**
+     * Verdicts of @p count slots in one call: @p ok[i] is 1 when
+     * slot i's tag authenticates, else 0.  Bit-identical to count
+     * verify() calls; the tag chains run kTagGroup at a time.  All
+     * slots must have the same number of lanes.
+     */
+    SB_HOT void verifyBatch(const CipherView *cts, std::size_t count,
+                            std::uint8_t *ok) const;
 
     /** Decrypt with integrity verification; fatal-free: the caller
      *  decides how to react to tampering.  Decrypts in place so
-     *  @p plain's capacity is reused (path-read hot path). */
-    SB_HOT bool
+     *  @p plain's capacity is reused.  Per-slot: the fault paths
+     *  (healing, scrub) use it; the path read verifies in batch. */
+    bool
     verifyDecrypt(CipherView ct,
                   std::vector<std::uint64_t> &plain) const
     {
         if (!verify(ct))
             return false;
-        plain.resize(ct.words);
-        const PrfStream ks(_key, *ct.nonce);
-        for (std::uint64_t i = 0; i < ct.words; ++i)
-            plain[i] = ct.lanes[i] ^ ks.lane(i);
+        decryptInto(ct, plain);
         return true;
     }
+
+    /** Slots whose tag chains the kernel advances in lockstep. */
+    static constexpr std::size_t kTagGroup = 8;
 
     std::uint64_t noncesIssued() const { return _nonceCounter; }
 
@@ -192,20 +215,18 @@ class OtpCodec
     void restoreNonceCounter(std::uint64_t n) { _nonceCounter = n; }
 
   private:
-    /** Keyed MAC over (nonce, lanes): a PRF chain.  Not
-     *  cryptographically strong (see Prf.hh) but structurally
-     *  faithful: any bit flip in nonce or lanes breaks the tag.
-     *  Sequential by construction (each link keys the next), so it is
-     *  not batched the way the keystream is. */
-    std::uint64_t
-    computeTag(std::uint64_t nonce, const std::uint64_t *lanes,
-               std::uint64_t words) const
-    {
-        std::uint64_t acc = prf64(_key, nonce, 0x7461675fULL);
-        for (std::uint64_t i = 0; i < words; ++i)
-            acc = prf64(_key, acc ^ lanes[i], i + 1);
-        return acc;
-    }
+    /**
+     * The tag kernel.  A slot's tag is a keyed MAC over (nonce,
+     * lanes): the PRF chain acc = prf64(key, nonce, "tag_"), then
+     * acc = prf64(key, acc ^ lane[i], i + 1) per lane.  Not
+     * cryptographically strong (see Prf.hh) but structurally
+     * faithful: any bit flip in nonce or lanes breaks the tag.  Each
+     * link keys the next, so one chain cannot be split; instead the
+     * chains of @p n <= kTagGroup slots (all of cts[0].words lanes)
+     * advance one link per lane in lockstep.  Writes @p tags[0..n).
+     */
+    SB_HOT void tagGroup(const CipherView *cts, std::size_t n,
+                         std::uint64_t *tags) const;
 
     PrfKey _key;
     std::uint64_t _nonceCounter = 0;

@@ -15,6 +15,81 @@ colder(const StashEntry *a, const StashEntry *b)
 
 } // namespace
 
+Stash::Stash(unsigned capacity) : _capacity(capacity)
+{
+    // At most half full at capacity; overflowing reals grow it.
+    unsigned bits = 4;
+    while ((std::uint64_t(1) << bits) < 2 * (std::uint64_t(capacity) + 1))
+        ++bits;
+    resetIndex(bits);
+}
+
+void
+Stash::resetIndex(unsigned bits)
+{
+    _index.assign(std::size_t(1) << bits, IndexCell{});
+    _indexShift = 64 - bits;
+}
+
+std::size_t
+Stash::probe(Addr addr) const
+{
+    const std::size_t mask = _index.size() - 1;
+    std::size_t i = homeOf(addr);
+    while (_index[i].addr != addr && _index[i].addr != kInvalidAddr)
+        i = (i + 1) & mask;
+    return i;
+}
+
+StashEntry *
+Stash::allocEntry()
+{
+    if (_vacant.empty())
+        return &_slab.emplace_back();
+    StashEntry *entry = _vacant.back();
+    _vacant.pop_back();
+    return entry;
+}
+
+void
+Stash::indexEntry(StashEntry *entry)
+{
+    if (2 * (_live + 1) > _index.size()) {
+        // Past half full (real overflow beyond the capacity):
+        // double the table and re-index every live entry.
+        resetIndex(65 - _indexShift);
+        for (StashEntry *e = _head; e; e = e->next) {
+            if (e != entry)
+                _index[probe(e->addr)] = IndexCell{e->addr, e};
+        }
+    }
+    _index[probe(entry->addr)] = IndexCell{entry->addr, entry};
+    ++_live;
+}
+
+void
+Stash::vacate(StashEntry *entry)
+{
+    // Backward-shift deletion: pull each later cell of the probe run
+    // into the hole unless its home lies cyclically in (hole, cell],
+    // so no tombstones are needed.
+    const std::size_t mask = _index.size() - 1;
+    std::size_t hole = probe(entry->addr);
+    for (std::size_t j = (hole + 1) & mask;
+         _index[j].addr != kInvalidAddr; j = (j + 1) & mask) {
+        const std::size_t home = homeOf(_index[j].addr);
+        const bool stays = hole < j ? hole < home && home <= j
+                                    : hole < home || home <= j;
+        if (!stays) {
+            _index[hole] = _index[j];
+            hole = j;
+        }
+    }
+    _index[hole] = IndexCell{};
+    --_live;
+    _vacant.push_back(entry);
+}
+
 void
 Stash::siftUp(std::uint32_t idx)
 {
@@ -137,14 +212,14 @@ Stash::enforceCapacity()
     // structure fills up; real entries beyond the capacity are an
     // overflow (counted by trackOccupancy — functionally we keep them
     // so the simulation can proceed).
-    while (_entries.size() > _capacity && !_shadows.empty()) {
+    while (_live > _capacity && !_shadows.empty()) {
         if (!_keysFresh)
             refreshKeys();
         StashEntry *victim = _shadows.front();
         removeShadow(victim);
         unlink(victim);
         recyclePayload(*victim);
-        _entries.erase(victim->addr);
+        vacate(victim);
     }
 }
 
@@ -155,22 +230,22 @@ Stash::insert(StashEntry entry)
               "dummy blocks are discarded, not stashed");
     entry.seq = _nextSeq++;
 
-    auto it = _entries.find(entry.addr);
-    if (it == _entries.end()) {
+    StashEntry *found = find(entry.addr);
+    if (found == nullptr) {
         if (entry.type == BlockType::Real)
             ++_realCount;
-        const Addr addr = entry.addr;
-        auto [pos, inserted] = _entries.emplace(addr, std::move(entry));
-        (void)inserted;
-        link(&pos->second);
-        if (pos->second.isShadow())
-            addShadow(&pos->second);
+        StashEntry *cell = allocEntry();
+        *cell = std::move(entry);
+        indexEntry(cell);
+        link(cell);
+        if (cell->isShadow())
+            addShadow(cell);
         enforceCapacity();
         trackOccupancy();
         return true;
     }
 
-    StashEntry &existing = it->second;
+    StashEntry &existing = *found;
     if (entry.type == BlockType::Shadow) {
         // Merge: a real copy wins; duplicate shadows collapse.
         if (existing.type == BlockType::Real) {
@@ -209,41 +284,39 @@ Stash::insert(StashEntry entry)
 const StashEntry *
 Stash::find(Addr addr) const
 {
-    auto it = _entries.find(addr);
-    return it == _entries.end() ? nullptr : &it->second;
+    return _index[probe(addr)].entry;
 }
 
 StashEntry *
 Stash::find(Addr addr)
 {
-    auto it = _entries.find(addr);
-    return it == _entries.end() ? nullptr : &it->second;
+    return _index[probe(addr)].entry;
 }
 
 void
 Stash::remove(Addr addr)
 {
-    auto it = _entries.find(addr);
-    SB_ASSERT(it != _entries.end(), "removing absent addr %llu",
+    StashEntry *entry = find(addr);
+    SB_ASSERT(entry != nullptr, "removing absent addr %llu",
               static_cast<unsigned long long>(addr));
-    if (it->second.type == BlockType::Real)
+    if (entry->type == BlockType::Real)
         --_realCount;
     else
-        removeShadow(&it->second);
-    unlink(&it->second);
-    recyclePayload(it->second);
-    _entries.erase(it);
+        removeShadow(entry);
+    unlink(entry);
+    recyclePayload(*entry);
+    vacate(entry);
 }
 
 void
 Stash::dropShadowOf(Addr addr)
 {
-    auto it = _entries.find(addr);
-    if (it != _entries.end() && it->second.type == BlockType::Shadow) {
-        removeShadow(&it->second);
-        unlink(&it->second);
-        recyclePayload(it->second);
-        _entries.erase(it);
+    StashEntry *entry = find(addr);
+    if (entry != nullptr && entry->isShadow()) {
+        removeShadow(entry);
+        unlink(entry);
+        recyclePayload(*entry);
+        vacate(entry);
     }
 }
 
@@ -265,12 +338,12 @@ Stash::saveState(ckpt::Serializer &out) const
     out.u64(_stats.overflowEvents);
     out.u64(_stats.mergesRealWins);
     out.u64(_stats.mergesShadowDup);
-    // Serialize in seq order (the entry list's order), not map
-    // order: the hash map's iteration order is an implementation
-    // detail that varies across processes, and a snapshot must be
-    // byte-identical for identical stash contents (generation
-    // diffing, resume bit-equality tests).
-    out.u64(_entries.size());
+    // Serialize in seq order (the entry list's order), not slab or
+    // index order: those depend on the history of inserts and
+    // removals, and a snapshot must be byte-identical for identical
+    // stash contents (generation diffing, resume bit-equality
+    // tests).
+    out.u64(_live);
     for (const StashEntry *e = _head; e; e = e->next) {
         out.u64(e->addr);
         out.u64(e->leaf);
@@ -290,11 +363,15 @@ Stash::loadState(ckpt::Deserializer &in)
     _stats.overflowEvents = in.u64();
     _stats.mergesRealWins = in.u64();
     _stats.mergesShadowDup = in.u64();
-    _entries.clear();
+    _slab.clear();
+    _vacant.clear();
+    std::fill(_index.begin(), _index.end(), IndexCell{});
+    _live = 0;
     _shadows.clear();
     _head = _tail = nullptr;
     _keysFresh = false;
     const std::uint64_t count = in.u64();
+    std::uint64_t reals = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         StashEntry e;
         e.addr = in.u64();
@@ -305,13 +382,22 @@ Stash::loadState(ckpt::Deserializer &in)
         e.payload = in.vecU64();
         if (_tail && e.seq <= _tail->seq)
             throw CkptMismatchError("stash entries out of seq order");
-        const Addr addr = e.addr;
-        auto [pos, inserted] = _entries.emplace(addr, std::move(e));
-        (void)inserted;
-        link(&pos->second);
-        if (pos->second.isShadow())
-            addShadow(&pos->second);
+        if (e.addr == kInvalidAddr)
+            throw CkptMismatchError("stash entry without an address");
+        if (find(e.addr) != nullptr)
+            throw CkptMismatchError("stash lists an address twice");
+        if (e.type == BlockType::Real)
+            ++reals;
+        StashEntry *cell = allocEntry();
+        *cell = std::move(e);
+        indexEntry(cell);
+        link(cell);
+        if (cell->isShadow())
+            addShadow(cell);
     }
+    if (reals != _realCount)
+        throw CkptMismatchError("stash real count disagrees with its "
+                                "entries");
 }
 
 } // namespace sboram

@@ -13,6 +13,11 @@
  * The merge operation of Section IV-A is enforced structurally: the
  * stash holds at most one entry per address, a real entry always wins
  * over a shadow entry, and multiple shadows collapse into one.
+ *
+ * Storage mirrors that CAM: entries live in a pointer-stable slab
+ * whose vacated cells are reused, and a power-of-two open-addressed
+ * addr -> entry index, sized from the capacity, plays the content
+ * match.  Neither allocates in steady state.
  */
 
 #ifndef SBORAM_ORAM_STASH_HH
@@ -20,7 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -69,9 +74,10 @@ struct StashStats
 class Stash
 {
   public:
-    explicit Stash(unsigned capacity) : _capacity(capacity) {}
+    explicit Stash(unsigned capacity);
 
-    // The entry list and the shadow heap point into the map's nodes.
+    // The entry list, the shadow heap and the index point into the
+    // slab.
     Stash(const Stash &) = delete;
     Stash &operator=(const Stash &) = delete;
 
@@ -97,10 +103,10 @@ class Stash
     std::uint64_t
     shadowCount() const
     {
-        return _entries.size() - _realCount;
+        return _live - _realCount;
     }
 
-    std::uint64_t size() const { return _entries.size(); }
+    std::uint64_t size() const { return _live; }
     /** insert() calls so far, merges included (each consumes a seq). */
     std::uint64_t inserts() const { return _nextSeq; }
     unsigned capacity() const { return _capacity; }
@@ -123,10 +129,9 @@ class Stash
     eligibleForLevel(unsigned level, CommonLevelFn &&commonLevelFn) const
     {
         std::vector<const StashEntry *> picked;
-        // sblint:allow-next-line(unordered-iteration): membership filter only; order canonicalised by the (class, seq) sort below
-        for (const auto &kv : _entries) {
-            if (commonLevelFn(kv.second.leaf) >= level)
-                picked.push_back(&kv.second);
+        for (const StashEntry *e = _head; e; e = e->next) {
+            if (commonLevelFn(e->leaf) >= level)
+                picked.push_back(e);
         }
         std::sort(picked.begin(), picked.end(),
                   [](const StashEntry *a, const StashEntry *b) {
@@ -235,7 +240,7 @@ class Stash
                      CommonLevelFn &&commonLevelFn) const
     {
         plan._order.clear();
-        plan._order.reserve(_entries.size());
+        plan._order.reserve(_live);
         for (const bool shadows : {false, true}) {
             for (const StashEntry *e = _head; e; e = e->next) {
                 if (e->isShadow() != shadows)
@@ -339,6 +344,32 @@ class Stash
             _recycle->release(std::move(entry.payload));
     }
 
+    /** One addr -> entry cell of the index; addr == kInvalidAddr
+     *  marks it empty. */
+    struct IndexCell
+    {
+        Addr addr = kInvalidAddr;
+        StashEntry *entry = nullptr;
+    };
+
+    /** Home cell of @p addr (Fibonacci hashing onto the table). */
+    std::size_t
+    homeOf(Addr addr) const
+    {
+        return static_cast<std::size_t>(
+            (addr * 0x9e3779b97f4a7c15ULL) >> _indexShift);
+    }
+    /** Cell holding @p addr, or the empty cell ending its probe. */
+    std::size_t probe(Addr addr) const;
+    /** A slab cell for a new entry: a vacated one, else a fresh one. */
+    StashEntry *allocEntry();
+    /** Index a new entry (growing the table past half full). */
+    void indexEntry(StashEntry *entry);
+    /** Drop @p entry from the index and hand its cell back. */
+    void vacate(StashEntry *entry);
+    /** Size the index to 2^bits empty cells. */
+    void resetIndex(unsigned bits);
+
     void link(StashEntry *entry);
     void unlink(StashEntry *entry);
     void addShadow(StashEntry *entry);
@@ -359,10 +390,20 @@ class Stash
     unsigned _capacity;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _realCount = 0;
-    std::unordered_map<Addr, StashEntry> _entries;
+    /** Live entries (real and shadow). */
+    std::uint64_t _live = 0;
+    /** Entry storage; a deque never moves its elements, so every
+     *  pointer below stays valid while its entry lives. */
+    std::deque<StashEntry> _slab;
+    /** Slab cells whose entries left; reused before the slab grows. */
+    std::vector<StashEntry *> _vacant;
+    /** Open-addressed (linear probing) addr -> entry table, at most
+     *  half full; 2^(64 - _indexShift) cells. */
+    std::vector<IndexCell> _index;
+    unsigned _indexShift = 64;
     /**
-     * Every entry, by pointer (unordered_map nodes are pointer-
-     * stable), in a doubly linked list ordered by seq: an entry is
+     * Every entry, by pointer, in a doubly linked list ordered by
+     * seq: an entry is
      * linked at the tail exactly when it takes the next seq, so the
      * canonical orders the eviction plan, the shadow offers and the
      * snapshot need come from a walk instead of a sort.
@@ -370,8 +411,8 @@ class Stash
     StashEntry *_head = nullptr;
     StashEntry *_tail = nullptr;
     /**
-     * Every shadow entry, by pointer (unordered_map nodes are
-     * pointer-stable), as an indexed binary min-heap on the cached
+     * Every shadow entry, by pointer, as an indexed binary min-heap
+     * on the cached
      * (hotness, seq) key.  seq is unique, so the key is a strict
      * total order; once the keys are fresh the root is exactly the
      * full (hotness, seq) scan-min, i.e. the displacement victim.

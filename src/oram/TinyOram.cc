@@ -101,7 +101,29 @@ TinyOram::initializeTree()
 {
     // Assign every block a random leaf and place it greedily from the
     // leaf level upwards; anything that does not fit starts in the
-    // stash (rare at 50 % utilisation).
+    // stash (rare at 50 % utilisation).  Tree placements are
+    // encrypted through encryptBatch a path's worth at a time, in
+    // placement order — the nonce order per-block encryption drew —
+    // so the scratch stays path-sized, not tree-sized.
+    const std::uint64_t words = _cfg.blockBytes / 8;
+    const std::size_t chunk =
+        (_geo.leafLevel + 1) * std::size_t(_cfg.slotsPerBucket);
+    std::vector<std::uint64_t> plains;
+    std::vector<std::uint64_t> ks;
+    std::vector<const std::uint64_t *> plainPtrs;
+    std::vector<CipherRef> refs;
+    if (_cfg.payloadEnabled) {
+        plains.resize(chunk * words);
+        ks.resize(chunk * words);
+        plainPtrs.reserve(chunk);
+        refs.reserve(chunk);
+    }
+    auto flush = [&] {
+        _codec.encryptBatch(plainPtrs.data(), refs.data(), refs.size(),
+                            words, ks.data());
+        plainPtrs.clear();
+        refs.clear();
+    };
     std::vector<std::uint64_t> plain;  // Reused across all blocks.
     for (Addr addr = 0; addr < _geo.totalBlocks; ++addr) {
         const LeafLabel leaf = randomLeaf();
@@ -122,9 +144,14 @@ TinyOram::initializeTree()
                 _realLevel[addr] = static_cast<std::uint8_t>(level);
                 if (_cfg.payloadEnabled) {
                     patternPayloadInto(addr, 0, plain);
-                    _codec.encryptRef(
-                        plain.data(),
+                    std::uint64_t *dst =
+                        plains.data() + refs.size() * words;
+                    std::copy(plain.begin(), plain.end(), dst);
+                    plainPtrs.push_back(dst);
+                    refs.push_back(
                         _tree.cipherRef(_tree.slotIndex(b, s)));
+                    if (refs.size() == chunk)
+                        flush();
                 }
                 placed = true;
                 break;
@@ -142,6 +169,8 @@ TinyOram::initializeTree()
             _realLevel[addr] = kInStash;
         }
     }
+    if (!refs.empty())
+        flush();
 }
 
 LeafLabel
@@ -297,6 +326,17 @@ TinyOram::handleUnrecoverable(const Slot &slot, BucketIndex bucket,
              slot.addr);
 }
 
+TinyOram::Take
+TinyOram::takeOf(const Slot &slot, ReadMode mode, Addr wantAddr)
+{
+    if (mode == ReadMode::Evict ||
+        (mode == ReadMode::Request && slot.addr == wantAddr))
+        return Take::Consume;
+    if (mode == ReadMode::Request && slot.isShadow())
+        return Take::Copy;
+    return Take::Leave;  // RAW read-only: leave other blocks alone.
+}
+
 SB_HOT TinyOram::PathReadOutcome
 TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                    Cycles startTime)
@@ -343,6 +383,9 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                     out.finish - _cfg.aesLatency, _cfg.aesLatency);
     }
 
+    if (_cfg.payloadEnabled && mode != ReadMode::Dummy)
+        verifyTakenSlots(mode, wantAddr);
+
     std::size_t dramIdx = 0;
     for (unsigned level = 0; level <= _geo.leafLevel; ++level) {
         const BucketIndex b = _pathBuckets[level];
@@ -372,21 +415,46 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                 }
             }
 
-            if (mode == ReadMode::Dummy)
-                continue;  // Contents discarded, tree untouched.
-
-            const bool consume =
-                mode == ReadMode::Evict ||
-                (mode == ReadMode::Request && slot.addr == wantAddr);
-            const bool copyShadow =
-                mode == ReadMode::Request && slot.isShadow();
-
-            if (!consume && !copyShadow)
-                continue;  // RAW read-only: leave other blocks alone.
-            takeSlot(slot, b, s, level, leaf, mode, consume, ready);
+            // A Dummy read discards the contents: the tree stays
+            // untouched.
+            const Take take = takeOf(slot, mode, wantAddr);
+            if (take != Take::Leave)
+                takeSlot(slot, b, s, level, leaf, mode,
+                         take == Take::Consume, ready);
         }
     }
     return out;
+}
+
+SB_HOT void
+TinyOram::verifyTakenSlots(ReadMode mode, Addr wantAddr)
+{
+    // The integrity check of the Tiny ORAM baseline [18], batched:
+    // the same take rule and root-to-leaf order as pathRead's take
+    // loop, so takeSlot finds its verdict at the cursor.  Spare-
+    // parked slots are skipped — their stripe is erased and the
+    // on-chip copy is authoritative.  Verdicts taken up front stay
+    // valid through the loop: healing a slot only clears that slot
+    // or reads shallower ones, and nothing rewrites a later slot.
+    _verifySlots.clear();
+    _verifyViews.clear();
+    _verdictCursor = 0;
+    for (unsigned level = 0; level <= _geo.leafLevel; ++level) {
+        const BucketIndex b = _pathBuckets[level];
+        for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s) {
+            const Slot &slot = _tree.slot(b, s);
+            const std::uint64_t slotIdx = _tree.slotIndex(b, s);
+            if (!slot.valid() ||
+                takeOf(slot, mode, wantAddr) == Take::Leave ||
+                _spare.count(slotIdx) != 0)
+                continue;
+            _verifySlots.push_back(slotIdx);
+            _verifyViews.push_back(_tree.cipherView(slotIdx));
+        }
+    }
+    _verdicts.resize(_verifySlots.size());
+    _codec.verifyBatch(_verifyViews.data(), _verifyViews.size(),
+                       _verdicts.data());
 }
 
 SB_HOT void
@@ -401,27 +469,36 @@ TinyOram::takeSlot(Slot &slot, BucketIndex b, unsigned s, unsigned level,
     e.version = slot.version;
     e.type = slot.type;
     if (_cfg.payloadEnabled) {
-        // Decrypt into a pooled buffer (verifyDecrypt reuses its
+        // Decrypt into a pooled buffer (decryptInto reuses its
         // capacity) instead of allocating per block.
         e.payload = _payloadPool.acquire(_cfg.blockBytes / 8);
         // Tier-1 spare store: a remapped cell's authoritative copy
         // lives on chip — the bad ciphertext stripe is never read, so
         // it can neither fault nor need healing.  Consumption retires
         // the parked copy; a non-consuming shadow copy leaves it in
-        // place.  Otherwise verify the integrity tag (Tiny ORAM
-        // baseline [18]).
+        // place.  Otherwise the slot's integrity verdict is ready
+        // (verifyTakenSlots).
         if (auto sp = _spare.find(slotIdx); sp != _spare.end()) {
             e.payload.assign(sp->second.begin(), sp->second.end());
             if (consume)
                 _spare.erase(sp);
-        } else if (!_codec.verifyDecrypt(_tree.cipherView(slotIdx),
-                                         e.payload)) {
-            healCorruptRead(slot, slotIdx, b, level, leaf, ready,
-                            e.payload);
-            if (!slot.valid()) {
-                // A corrupt shadow: its slot is already reclaimed.
-                _payloadPool.release(std::move(e.payload));
-                return;
+        } else {
+            SB_ASSERT(_verdictCursor < _verifySlots.size() &&
+                          _verifySlots[_verdictCursor] == slotIdx,
+                      "path-read verdict out of step at slot %llu",
+                      static_cast<unsigned long long>(slotIdx));
+            const std::size_t at = _verdictCursor++;
+            if (_verdicts[at] != 0) {
+                _codec.decryptInto(_verifyViews[at], e.payload);
+            } else {
+                healCorruptRead(slot, slotIdx, b, level, leaf, ready,
+                                e.payload);
+                if (!slot.valid()) {
+                    // A corrupt shadow: its slot is already
+                    // reclaimed.
+                    _payloadPool.release(std::move(e.payload));
+                    return;
+                }
             }
         }
     }
@@ -440,7 +517,6 @@ TinyOram::takeSlot(Slot &slot, BucketIndex b, unsigned s, unsigned level,
         else
             _payloadPool.release(std::move(e.payload));
     } else {
-        // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
         _stash.insert(std::move(e));
     }
 
@@ -696,7 +772,6 @@ TinyOram::placeGreedy(LeafLabel leaf)
             placed.wasShadow = entry->isShadow();
             _policy->onBlockPlaced(placed);
 
-            // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
             _stash.remove(cand.addr);
             cand.placed = true;
             ++slotCursor;
@@ -753,7 +828,6 @@ TinyOram::fillShadows()
             slot.version = choice->version;
             ++_stats.shadowsWritten;
             if (choice->releaseStashCopy)
-                // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
                 _stash.dropShadowOf(choice->addr);
             for (std::size_t i = 0; i < _evictShadows.size(); ++i) {
                 if (_evictShadows[i].addr == choice->addr) {
@@ -837,7 +911,6 @@ TinyOram::returnUnplacedShadows()
     for (std::size_t i = 0; i < _evictShadows.size(); ++i) {
         StashEntry &e = _evictShadows[i];
         if (!_evictShadowPlaced[i])
-            // sblint:allow-next-line(hot-path-alloc): stash hash-map churn models the on-chip CAM — bounded by stash capacity, inside the controller, off the timed DRAM path
             _stash.insert(std::move(e));
         else
             _payloadPool.release(std::move(e.payload));

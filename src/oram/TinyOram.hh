@@ -263,8 +263,18 @@ class TinyOram
      */
     enum class ReadMode { Request, Dummy, Evict };
 
+    /** What a path read does with one valid slot's block. */
+    enum class Take { Leave, Copy, Consume };
+    /** The take rule of a @p mode read for @p wantAddr: an eviction
+     *  consumes every block, a Request consumes the intended block
+     *  and copies every shadow, a Dummy takes nothing. */
+    static Take takeOf(const Slot &slot, ReadMode mode, Addr wantAddr);
+
     SB_HOT PathReadOutcome pathRead(LeafLabel leaf, ReadMode mode,
                                     Addr wantAddr, Cycles startTime);
+    /** Tag verdicts of every slot this path read will decrypt, in
+     *  one batched codec call (fills _verdicts). */
+    SB_HOT void verifyTakenSlots(ReadMode mode, Addr wantAddr);
     /** Move (or, for a Request's shadow, copy) one read slot's block
      *  into the stash or the eviction buffer. */
     SB_HOT void takeSlot(Slot &slot, BucketIndex b, unsigned s,
@@ -476,6 +486,16 @@ class TinyOram
     std::vector<PendingEncrypt> _pendingEnc;
     std::vector<const std::uint64_t *> _encPlains;
     std::vector<CipherRef> _encRefs;
+    /**
+     * The path read's batched integrity check: the slots its take
+     * loop decrypts (root to leaf), their ciphertext views, and one
+     * verdict each; takeSlot consumes them in order through
+     * _verdictCursor.
+     */
+    std::vector<std::uint64_t> _verifySlots;
+    std::vector<CipherView> _verifyViews;
+    std::vector<std::uint8_t> _verdicts;
+    std::size_t _verdictCursor = 0;
 };
 
 } // namespace sboram

@@ -109,46 +109,112 @@ TEST(Otp, EmptyPayload)
     EXPECT_TRUE(codec.decrypt(ct).empty());
 }
 
+namespace {
+
+/** Plaintext lanes that differ per slot, per lane and per call. */
+std::vector<std::vector<std::uint64_t>>
+variedPlains(std::size_t slots, std::uint64_t words, std::uint64_t salt)
+{
+    std::vector<std::vector<std::uint64_t>> plains(slots);
+    for (std::size_t s = 0; s < slots; ++s)
+        for (std::uint64_t w = 0; w < words; ++w)
+            plains[s].push_back(prf64(PrfKey{salt, s}, w, 0x5eed));
+    return plains;
+}
+
+/** encryptBatch of @p plains into fresh ciphertexts. */
+std::vector<CipherText>
+batchEncrypt(OtpCodec &codec,
+             const std::vector<std::vector<std::uint64_t>> &plains,
+             std::uint64_t words)
+{
+    std::vector<CipherText> out(plains.size());
+    std::vector<const std::uint64_t *> plainPtrs;
+    std::vector<CipherRef> refs;
+    for (std::size_t s = 0; s < plains.size(); ++s) {
+        out[s].lanes.resize(words);
+        plainPtrs.push_back(plains[s].data());
+        refs.push_back(CipherRef(out[s]));
+    }
+    std::vector<std::uint64_t> scratch(plains.size() * words + 1);
+    codec.encryptBatch(plainPtrs.data(), refs.data(), plains.size(),
+                       words, scratch.data());
+    return out;
+}
+
+} // namespace
+
 TEST(Otp, BatchMatchesSequentialEncrypts)
 {
     // encryptBatch must be indistinguishable from successive
     // encryptRef calls: same nonce sequence, same ciphertext bits,
     // same tags.  Two codecs under one key, same starting counter.
+    // The sweep covers empty, ragged, one-full-group and multi-group
+    // batches of the tag kernel.
     const PrfKey key{11, 22};
-    OtpCodec seq(key);
-    OtpCodec batch(key);
+    constexpr std::size_t kGroup = OtpCodec::kTagGroup;
+    for (std::uint64_t words : {1u, 6u, 8u}) {
+        OtpCodec seq(key);
+        OtpCodec batch(key);
+        for (std::size_t slots = 0; slots <= 2 * kGroup + 3; ++slots) {
+            const auto plains = variedPlains(slots, words, slots);
+            std::vector<CipherText> seqOut(slots);
+            for (std::size_t s = 0; s < slots; ++s)
+                seq.encryptInto(plains[s], seqOut[s]);
+            const std::vector<CipherText> batchOut =
+                batchEncrypt(batch, plains, words);
 
-    constexpr std::size_t kSlots = 5;
-    constexpr std::uint64_t kWords = 6;
-    std::vector<std::vector<std::uint64_t>> plains(kSlots);
-    for (std::size_t s = 0; s < kSlots; ++s)
-        for (std::uint64_t w = 0; w < kWords; ++w)
-            plains[s].push_back(s * 1000 + w * 7 + 3);
-
-    std::vector<CipherText> seqOut(kSlots);
-    for (std::size_t s = 0; s < kSlots; ++s)
-        seq.encryptInto(plains[s], seqOut[s]);
-
-    std::vector<CipherText> batchOut(kSlots);
-    std::vector<const std::uint64_t *> plainPtrs;
-    std::vector<CipherRef> refs;
-    for (std::size_t s = 0; s < kSlots; ++s) {
-        batchOut[s].lanes.resize(kWords);
-        plainPtrs.push_back(plains[s].data());
-        refs.push_back(CipherRef(batchOut[s]));
+            ASSERT_EQ(seq.noncesIssued(), batch.noncesIssued());
+            for (std::size_t s = 0; s < slots; ++s) {
+                SCOPED_TRACE(testing::Message()
+                             << "words " << words << " slots " << slots
+                             << " slot " << s);
+                EXPECT_EQ(batchOut[s].nonce, seqOut[s].nonce);
+                EXPECT_EQ(batchOut[s].tag, seqOut[s].tag);
+                EXPECT_EQ(batchOut[s].lanes, seqOut[s].lanes);
+                EXPECT_TRUE(batch.verify(batchOut[s]));
+                EXPECT_EQ(batch.decrypt(batchOut[s]), plains[s]);
+            }
+        }
     }
-    std::vector<std::uint64_t> scratch(kSlots * kWords);
-    batch.encryptBatch(plainPtrs.data(), refs.data(), kSlots, kWords,
-                       scratch.data());
+}
 
-    EXPECT_EQ(seq.noncesIssued(), batch.noncesIssued());
-    for (std::size_t s = 0; s < kSlots; ++s) {
-        EXPECT_EQ(batchOut[s].nonce, seqOut[s].nonce) << "slot " << s;
-        EXPECT_EQ(batchOut[s].tag, seqOut[s].tag) << "slot " << s;
-        EXPECT_EQ(batchOut[s].lanes, seqOut[s].lanes) << "slot " << s;
-        EXPECT_TRUE(batch.verify(batchOut[s]));
-        EXPECT_EQ(batch.decrypt(batchOut[s]), plains[s]);
+TEST(Otp, BatchVerifyMatchesPerSlotVerify)
+{
+    // verifyBatch's verdicts equal per-slot verify() for every batch
+    // size through two groups and a ragged tail, with exactly one
+    // nonce, lane or tag tampered at each position in turn.
+    const PrfKey key{3, 4};
+    constexpr std::size_t kGroup = OtpCodec::kTagGroup;
+    constexpr std::uint64_t kWords = 8;
+    OtpCodec codec(key);
+    for (std::size_t slots = 1; slots <= 2 * kGroup + 3; ++slots) {
+        const std::vector<CipherText> clean =
+            batchEncrypt(codec, variedPlains(slots, kWords, 77), kWords);
+        for (int field = 0; field < 4; ++field) {
+            for (std::size_t bad = 0; bad < slots; ++bad) {
+                std::vector<CipherText> cts = clean;
+                if (field == 0)
+                    cts[bad].nonce ^= 1;
+                else if (field == 1)
+                    cts[bad].lanes[0] ^= 1ULL << 63;
+                else if (field == 2)
+                    cts[bad].lanes[kWords - 1] ^= 4;
+                else
+                    cts[bad].tag ^= 1ULL << 17;
+                std::vector<CipherView> views(cts.begin(), cts.end());
+                std::vector<std::uint8_t> ok(slots, 2);
+                codec.verifyBatch(views.data(), slots, ok.data());
+                for (std::size_t s = 0; s < slots; ++s) {
+                    EXPECT_EQ(ok[s] != 0, codec.verify(cts[s]))
+                        << "slots " << slots << " field " << field
+                        << " bad " << bad << " slot " << s;
+                    EXPECT_EQ(ok[s], s == bad ? 0 : 1);
+                }
+            }
+        }
     }
+    codec.verifyBatch(nullptr, 0, nullptr);  // Empty batch is a no-op.
 }
 
 TEST(Otp, BatchOfOneMatchesEncryptRef)

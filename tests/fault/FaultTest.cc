@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 
@@ -7,6 +8,7 @@
 #include "common/Errors.hh"
 #include "common/Rng.hh"
 #include "fault/FaultInjector.hh"
+#include "mem/AddressMap.hh"
 #include "security/InvariantChecker.hh"
 #include "sim/System.hh"
 
@@ -445,6 +447,270 @@ TEST(FaultRecovery, ScrubLeavesUnhealableRealForThePathRead)
               std::vector<std::uint64_t>(cfg.blockBytes / 8, 0));
     EXPECT_TRUE(oram.scrubStorage());
     EXPECT_TRUE(checkInvariants(oram).ok);
+}
+
+namespace {
+
+/** Records the externally visible path sequence. */
+struct PathLog : TraceSink
+{
+    std::vector<std::pair<LeafLabel, bool>> paths;
+    void
+    onPathAccess(LeafLabel leaf, bool isWrite) override
+    {
+        paths.emplace_back(leaf, isWrite);
+    }
+};
+
+/**
+ * A Shadow controller with spare-parked slots: after a warm-up, every
+ * fourth tree real that has a same-version shadow is corrupted and the
+ * patrol scrub heals it into the on-chip spare store (quarantine
+ * threshold 1).  Then a deterministic hot-set access stream runs.
+ * Every instance replays the same history, so a fresh one stands in
+ * for a snapshot of an earlier one.
+ */
+struct ParkedTree
+{
+    std::unique_ptr<OramStack> fx;
+    Rng rng{5};
+    Cycles t = 0;
+
+    ParkedTree()
+    {
+        OramConfig cfg = smallConfig();
+        cfg.fault.onUnrecoverable = UnrecoverablePolicy::Count;
+        cfg.health.quarantineThreshold = 1;
+        fx = std::make_unique<OramStack>(Scheme::Shadow, cfg);
+        for (int i = 0; i < 600; ++i)
+            step();
+        // Only every fourth, so plenty of healable pairs stay.
+        OramTree &tree = treeMut();
+        unsigned pairs = 0;
+        for (BucketIndex b = 0; b < tree.numBuckets(); ++b) {
+            for (unsigned s = 0; s < tree.slotsPerBucket(); ++s) {
+                const Slot &r = tree.slot(b, s);
+                if (r.isReal() &&
+                    healable(r, AddressMap::levelOf(b)) &&
+                    pairs++ % 4 == 0)
+                    tree.cipherRef(tree.slotIndex(b, s)).lanes[0] ^= 1;
+            }
+        }
+        oram().scrubStorage();
+    }
+
+    TinyOram &oram() { return fx->oram(); }
+    OramTree &treeMut() { return const_cast<OramTree &>(oram().tree()); }
+
+    /** A parked slot: occupied, but its stripe is erased. */
+    bool
+    parked(std::uint64_t slotIdx) const
+    {
+        const OramTree &tree = fx->oram().tree();
+        return tree.slot(slotIdx / tree.slotsPerBucket(),
+                         slotIdx % tree.slotsPerBucket())
+                   .valid() &&
+               !tree.hasCipher(slotIdx);
+    }
+
+    /** True when @p real (at @p level) has an intact same-version
+     *  shadow to heal from: in the stash, or above it on its path. */
+    bool
+    healable(const Slot &real, unsigned level) const
+    {
+        const StashEntry *st = fx->oram().stash().find(real.addr);
+        if (st && st->isShadow() && st->version == real.version)
+            return true;
+        const OramTree &tree = fx->oram().tree();
+        for (unsigned lvl = 0; lvl < level; ++lvl) {
+            const BucketIndex b = tree.bucketOnPath(real.leaf, lvl);
+            for (unsigned s = 0; s < tree.slotsPerBucket(); ++s) {
+                const Slot &c = tree.slot(b, s);
+                const std::uint64_t idx = tree.slotIndex(b, s);
+                if (c.isShadow() && c.addr == real.addr &&
+                    c.version == real.version &&
+                    (!tree.hasCipher(idx) ||
+                     OtpCodec().verify(tree.cipherView(idx))))
+                    return true;
+            }
+        }
+        return false;
+    }
+
+    static std::pair<Addr, Op>
+    drawFrom(Rng &r)
+    {
+        const Addr a = r.chance(0.8) ? r.below(48) : r.below(1 << 10);
+        return {a, r.chance(0.3) ? Op::Write : Op::Read};
+    }
+
+    /** The next access, without taking it. */
+    std::pair<Addr, Op>
+    peek() const
+    {
+        Rng r = rng;
+        return drawFrom(r);
+    }
+
+    void
+    step()
+    {
+        const auto [a, op] = drawFrom(rng);
+        t = oram().access(a, op, t + 150).completeAt;
+    }
+};
+
+/** One path read of the access at @p step: its leaf, the intended
+ *  address (kInvalidAddr for an eviction) and the slots it takes. */
+struct ReadPlan
+{
+    int step = -1;
+    Addr want = kInvalidAddr;
+    std::vector<std::uint64_t> taken;    ///< Slots with a ciphertext.
+    std::vector<std::uint64_t> parked;   ///< Taken spare-parked slots.
+};
+
+/** Slots on the path to @p leaf that a read for @p want takes. */
+ReadPlan
+planRead(ParkedTree &pt, LeafLabel leaf, Addr want, bool evict)
+{
+    ReadPlan plan;
+    plan.want = want;
+    const OramTree &tree = pt.oram().tree();
+    for (unsigned lvl = 0; lvl <= tree.leafLevel(); ++lvl) {
+        const BucketIndex b = tree.bucketOnPath(leaf, lvl);
+        for (unsigned s = 0; s < tree.slotsPerBucket(); ++s) {
+            const Slot &slot = tree.slot(b, s);
+            const std::uint64_t idx = tree.slotIndex(b, s);
+            if (!slot.valid() ||
+                !(evict || slot.addr == want || slot.isShadow()))
+                continue;
+            (pt.parked(idx) ? plan.parked : plan.taken).push_back(idx);
+        }
+    }
+    return plan;
+}
+
+/** Fresh ParkedTree advanced to just before access @p step. */
+std::unique_ptr<ParkedTree>
+replayTo(int step)
+{
+    auto pt = std::make_unique<ParkedTree>();
+    for (int i = 0; i < step; ++i)
+        pt->step();
+    return pt;
+}
+
+/**
+ * Corrupt each taken slot of @p plan's read in turn (one per fresh
+ * replay) and run the access: exactly that slot is detected, a real
+ * with a same-version shadow is healed, and every block reads back
+ * as in the clean run — so the batched verdicts line up with the
+ * slots the take loop consumes, and no parked slot is ever verified
+ * (its erased stripe would fail, or trip the no-ciphertext check).
+ * @p skip lists slots an earlier read of the same access takes.
+ * Returns the number of healed reals.
+ */
+unsigned
+corruptEachTaken(const ReadPlan &plan,
+                 const std::vector<std::uint64_t> &skip = {})
+{
+    auto clean = replayTo(plan.step);
+    clean->step();
+    const OramStats base = clean->oram().stats();
+    unsigned healedReals = 0;
+    for (std::uint64_t idx : plan.taken) {
+        if (std::find(skip.begin(), skip.end(), idx) != skip.end())
+            continue;
+        auto pt = replayTo(plan.step);
+        OramTree &tree = pt->treeMut();
+        const std::uint64_t z = tree.slotsPerBucket();
+        const Slot victim = tree.slot(idx / z, idx % z);
+        const bool healable =
+            victim.isShadow() ||
+            pt->healable(victim, AddressMap::levelOf(idx / z));
+        tree.cipherRef(idx).lanes[1] ^= 4;
+        pt->step();
+        SCOPED_TRACE(testing::Message() << "step " << plan.step
+                                        << " slot " << idx);
+        const OramStats &st = pt->oram().stats();
+        EXPECT_EQ(st.faultsDetected, base.faultsDetected + 1);
+        EXPECT_EQ(st.faultsRecovered,
+                  base.faultsRecovered + (healable ? 1 : 0));
+        EXPECT_EQ(st.faultsUnrecoverable,
+                  base.faultsUnrecoverable + (healable ? 0 : 1));
+        if (victim.isReal() && healable) {
+            ++healedReals;
+            EXPECT_EQ(pt->oram().peekPayload(victim.addr),
+                      clean->oram().peekPayload(victim.addr));
+        }
+        if (plan.want != kInvalidAddr) {
+            EXPECT_EQ(pt->oram().peekPayload(plan.want),
+                      clean->oram().peekPayload(plan.want));
+        }
+        EXPECT_TRUE(checkInvariants(pt->oram()).ok);
+    }
+    return healedReals;
+}
+
+} // namespace
+
+TEST(FaultRecovery, PathReadVerdictsAlignWithTakenSlots)
+{
+    // Find, in the replayed stream, a Request read and an Evict read
+    // that each take a spare-parked slot and at least one slot with a
+    // ciphertext, and (for the eviction) a healable real.  `lead`
+    // runs each access first to learn the paths it reads; `lag` is
+    // the pre-access state the plans are made against.
+    ParkedTree lead, lag;
+    PathLog log;
+    lead.oram().setTraceSink(&log);
+    ReadPlan request, evict;
+    std::vector<std::uint64_t> requestTakes;
+    for (int step = 0; step < 1500; ++step) {
+        if (request.step >= 0 && evict.step >= 0)
+            break;
+        log.paths.clear();
+        lead.step();
+        std::vector<LeafLabel> reads;
+        for (const auto &[leaf, isWrite] : log.paths)
+            if (!isWrite)
+                reads.push_back(leaf);
+        const Addr want = lag.peek().first;
+        if (!reads.empty()) {
+            ReadPlan r = planRead(lag, reads[0], want, false);
+            r.step = step;
+            if (request.step < 0 && !r.parked.empty() &&
+                !r.taken.empty())
+                request = r;
+            if (evict.step < 0 && reads.size() >= 2) {
+                ReadPlan e = planRead(lag, reads[1], kInvalidAddr, true);
+                e.step = step;
+                const OramTree &tree = lag.oram().tree();
+                const std::uint64_t z = tree.slotsPerBucket();
+                bool healableReal = false;
+                for (std::uint64_t idx : e.taken) {
+                    const Slot &sl = tree.slot(idx / z, idx % z);
+                    healableReal |=
+                        sl.isReal() && sl.addr != want &&
+                        lag.healable(sl,
+                                        AddressMap::levelOf(idx / z));
+                }
+                if (!e.parked.empty() && healableReal) {
+                    evict = e;
+                    requestTakes = r.taken;
+                }
+            }
+        }
+        lag.step();
+    }
+    ASSERT_GE(request.step, 0) << "no Request read took a parked slot";
+    ASSERT_GE(evict.step, 0) << "no Evict read took a parked slot";
+
+    corruptEachTaken(request);
+    // Slots the same access's Request read takes first are that
+    // read's detections, not the eviction's.
+    EXPECT_GT(corruptEachTaken(evict, requestTakes), 0u);
 }
 
 TEST(FaultRecovery, FaultInjectionRequiresPayloadMode)

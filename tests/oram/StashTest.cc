@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <tuple>
 
 #include "common/Rng.hh"
@@ -98,6 +99,35 @@ TEST(Stash, OverflowCountedWhenRealsExceedCapacity)
     stash.insert(entry(3, BlockType::Real));
     EXPECT_GE(stash.stats().overflowEvents, 1u);
     EXPECT_EQ(stash.stats().peakReal, 3u);
+}
+
+TEST(Stash, IndexGrowsPastCapacityAndSurvivesRemovals)
+{
+    // Reals beyond the capacity grow the addr index several times;
+    // removals (backward-shift deletion) must keep every remaining
+    // address findable, including ones whose probe run crossed a
+    // removed cell.
+    Rng rng(9);
+    std::vector<Addr> addrs;
+    std::set<Addr> seen;
+    while (addrs.size() < 300) {
+        const Addr a = rng.below(1 << 20);
+        if (seen.insert(a).second)
+            addrs.push_back(a);
+    }
+    Stash stash(2);
+    for (Addr a : addrs)
+        stash.insert(entry(a, BlockType::Real));
+    for (std::size_t i = 0; i < addrs.size(); i += 2)
+        stash.remove(addrs[i]);
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        const StashEntry *e = stash.find(addrs[i]);
+        ASSERT_EQ(e != nullptr, i % 2 == 1) << i;
+        if (e) {
+            EXPECT_EQ(e->addr, addrs[i]);
+        }
+    }
+    EXPECT_EQ(stash.size(), 150u);
 }
 
 TEST(Stash, RemoveUpdatesCounts)
@@ -459,4 +489,70 @@ TEST(Stash, LoadRejectsEntriesOutOfSeqOrder)
     const std::vector<std::uint8_t> bytes = out.take();
     Stash stash(8);
     EXPECT_THROW(loadBytes(stash, bytes), CkptMismatchError);
+}
+
+namespace {
+
+/** A stash section holding @p entries (addr, type, seq) and claiming
+ *  @p realCount reals. */
+std::vector<std::uint8_t>
+stashSection(
+    std::uint64_t realCount,
+    std::initializer_list<std::tuple<Addr, BlockType, std::uint64_t>>
+        entries)
+{
+    ckpt::Serializer out;
+    out.u64(10);  // next seq
+    out.u64(realCount);
+    for (int i = 0; i < 4; ++i)
+        out.u64(0);  // stats
+    out.u64(entries.size());
+    for (const auto &[addr, type, seq] : entries) {
+        out.u64(addr);
+        out.u64(0);  // leaf
+        out.u32(0);  // version
+        out.u8(static_cast<std::uint8_t>(type));
+        out.u64(seq);
+        out.vecU64({});
+    }
+    return out.take();
+}
+
+} // namespace
+
+TEST(Stash, LoadRejectsDuplicateAddress)
+{
+    // Two entries for one address would break the one-entry-per-
+    // address merge invariant; linking the same entry twice would
+    // also turn the seq list into a cycle.
+    Stash stash(8);
+    EXPECT_THROW(loadBytes(stash, stashSection(0, {
+                     {4, BlockType::Shadow, 1},
+                     {4, BlockType::Shadow, 2}})),
+                 CkptMismatchError);
+    EXPECT_THROW(loadBytes(stash, stashSection(1, {
+                     {4, BlockType::Shadow, 1},
+                     {4, BlockType::Real, 2}})),
+                 CkptMismatchError);
+
+    // The legal section still loads into the same stash afterwards.
+    loadBytes(stash, stashSection(1, {{4, BlockType::Real, 1},
+                                      {5, BlockType::Shadow, 2}}));
+    EXPECT_EQ(stash.size(), 2u);
+    unsigned visited = 0;
+    stash.forEach([&](const StashEntry &) { ++visited; });
+    EXPECT_EQ(visited, 2u);
+}
+
+TEST(Stash, LoadRejectsRealCountMismatch)
+{
+    Stash stash(8);
+    EXPECT_THROW(loadBytes(stash, stashSection(2, {
+                     {4, BlockType::Real, 1},
+                     {5, BlockType::Shadow, 2}})),
+                 CkptMismatchError);
+    // The index's empty-cell marker is not an address.
+    EXPECT_THROW(loadBytes(stash, stashSection(0, {
+                     {kInvalidAddr, BlockType::Shadow, 1}})),
+                 CkptMismatchError);
 }

@@ -361,3 +361,54 @@ TEST(TinyOram, HotnessLookupsPerAccessStayBelowCapacityPlusInserts)
     EXPECT_GT(policy.lookups, trace.size());
     EXPECT_EQ(worstExcess, 0u) << "access " << worstAccess;
 }
+
+namespace {
+
+/**
+ * FNV-1a of the controller snapshot after a fixed payload-mode Shadow
+ * run (hot set plus writes, so shadows, merges and re-encryptions all
+ * happen).  The snapshot carries every ciphertext's nonce, tag and
+ * lanes, so this pins the exact cipher bits — which no metric golden
+ * can: a fresh run verifies its own tags whatever they are.
+ */
+std::uint64_t
+ciphertextImageHash(const OramConfig &cfg, OramStats *stats = nullptr)
+{
+    OramStack fx(Scheme::Shadow, cfg);
+    TinyOram &oram = fx.oram();
+    Rng rng(23);
+    Cycles t = 0;
+    for (int i = 0; i < 1500; ++i) {
+        const Addr a =
+            rng.chance(0.8) ? rng.below(48) : rng.below(cfg.dataBlocks);
+        t = oram.access(a, rng.chance(0.3) ? Op::Write : Op::Read,
+                        t + 150)
+                .completeAt;
+    }
+    if (stats)
+        *stats = oram.stats();
+    ckpt::Serializer out;
+    oram.saveState(out);
+    return ckpt::fnv1a(out.buffer().data(), out.buffer().size());
+}
+
+} // namespace
+
+TEST(TinyOram, CiphertextImageIsPinned)
+{
+    OramStats st;
+    EXPECT_EQ(ciphertextImageHash(smallConfig(), &st),
+              0x74d4f536e72ac192ULL);
+    EXPECT_GT(st.shadowsWritten, 0u);
+
+    // Faults and tier-1 quarantine on: detection, healing and the
+    // spare-store parks all run, and the image still may not move.
+    OramConfig cfg = smallConfig();
+    cfg.fault.rate = 0.02;
+    cfg.fault.seed = 42;
+    cfg.fault.onUnrecoverable = UnrecoverablePolicy::Count;
+    cfg.health.quarantineThreshold = 1;
+    EXPECT_EQ(ciphertextImageHash(cfg, &st), 0x5def9a1f331227b1ULL);
+    EXPECT_GT(st.faultsDetected, 0u);
+    EXPECT_GT(st.quarantineEvacuations, 0u);
+}
