@@ -196,10 +196,17 @@ outcomeFingerprint(const PointOutcome &o)
 
 /** Run one point.  Self-contained for defer(): capture by value.  A
  *  watchdog trip is recorded, not rethrown — the bench reports it as
- *  the availability loss it is and fails the run at the end. */
+ *  the availability loss it is and fails the run at the end.  SB_OBS_*
+ *  apply as in ExperimentRunner::submit, with one artifact label per
+ *  (point, determinism pass) so two workers never write one file. */
 PointOutcome
-runPoint(svc::ServiceConfig cfg)
+runPoint(svc::ServiceConfig cfg, unsigned pass)
 {
+    obs::applyEnv(cfg.obs);
+    if (cfg.obs.any() && cfg.obs.label.empty())
+        cfg.obs.label =
+            obs::makeLabel("svc-pass" + std::to_string(pass),
+                           svc::serviceConfigFingerprint(cfg));
     PointOutcome out;
     try {
         svc::ServicePipeline pipeline(cfg);
@@ -323,8 +330,8 @@ runBench()
             }
             Slot slot;
             for (unsigned pass = 0; pass < 2; ++pass)
-                slot.pass[pass] =
-                    runner().defer([cfg] { return runPoint(cfg); });
+                slot.pass[pass] = runner().defer(
+                    [cfg, pass] { return runPoint(cfg, pass); });
             slots.push_back(slot);
         }
     }
@@ -407,7 +414,7 @@ runBench()
                 continue;
             at.beginRow(row.profile);
             at.cell(row.policy);
-            at.cell(obs::stageName(static_cast<obs::StageId>(i)));
+            at.cell(obs::kStageNames[i]);
             at.cell(cut.count);
             at.cell(static_cast<std::uint64_t>(cut.p50));
             at.cell(static_cast<std::uint64_t>(cut.p99));
@@ -504,7 +511,7 @@ runBench()
                     "\"p50\": %llu, \"p99\": %llu, \"p999\": %llu, "
                     "\"max\": %llu}",
                     firstStage ? "" : ", ",
-                    obs::stageName(static_cast<obs::StageId>(j)),
+                    obs::kStageNames[j],
                     static_cast<unsigned long long>(cut.count),
                     static_cast<unsigned long long>(cut.total),
                     static_cast<unsigned long long>(cut.p50),

@@ -1,5 +1,7 @@
 #include "Stats.hh"
 
+#include <cmath>
+
 #include "Logging.hh"
 
 namespace sboram {

@@ -1,8 +1,11 @@
 #include "obs/FlightRecorder.hh"
 
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <mutex>
+
+#include "obs/Trace.hh"
 
 namespace sboram {
 namespace obs {
@@ -47,27 +50,64 @@ state()
     return s;
 }
 
+/** The kind table, indexed by FlightKind. */
+constexpr FlightKindInfo kFlightKinds[] = {
+    {"shed_admission", "shed_admission", kTrackService,
+     FlightLatch::None},
+    {"shed_deadline", "shed_deadline", kTrackService, FlightLatch::None},
+    {"pressure_on", "svc_backpressure_enter", kTrackService,
+     FlightLatch::PressureOn},
+    {"pressure_off", "svc_backpressure_exit", kTrackService,
+     FlightLatch::PressureOff},
+    {"retry", nullptr, 0, FlightLatch::None},
+    {"watchdog_tick", nullptr, 0, FlightLatch::WatchdogTick},
+    {"watchdog_trip", nullptr, 0, FlightLatch::None},
+    {"slo_burn", "slo_burn", kTrackService, FlightLatch::None},
+    // The fault ladder emits its own slot_quarantined instant: its
+    // track follows the path being read.
+    {"slot_quarantined", nullptr, 0, FlightLatch::None},
+    {"degraded_enter", "degraded_enter", kTrackEviction,
+     FlightLatch::DegradedOn},
+    {"degraded_exit", "degraded_exit", kTrackEviction,
+     FlightLatch::DegradedOff},
+    {"auto_rollback", "auto_rollback", kTrackCheckpoint,
+     FlightLatch::None},
+    {"corruption", nullptr, 0, FlightLatch::None},
+};
+static_assert(std::size(kFlightKinds) ==
+                  static_cast<std::size_t>(FlightKind::Corruption) + 1,
+              "one kind-table row per FlightKind");
+
 } // namespace
 
-const char *
-flightKindName(FlightKind kind)
+const FlightKindInfo &
+flightKindInfo(FlightKind kind)
 {
-    switch (kind) {
-    case FlightKind::ShedAdmission: return "shed_admission";
-    case FlightKind::ShedDeadline: return "shed_deadline";
-    case FlightKind::PressureOn: return "pressure_on";
-    case FlightKind::PressureOff: return "pressure_off";
-    case FlightKind::Retry: return "retry";
-    case FlightKind::WatchdogTick: return "watchdog_tick";
-    case FlightKind::WatchdogTrip: return "watchdog_trip";
-    case FlightKind::SloBurn: return "slo_burn";
-    case FlightKind::SlotQuarantine: return "slot_quarantined";
-    case FlightKind::DegradedEnter: return "degraded_enter";
-    case FlightKind::DegradedExit: return "degraded_exit";
-    case FlightKind::AutoRollback: return "auto_rollback";
-    case FlightKind::Corruption: return "corruption";
+    const std::size_t k = static_cast<std::size_t>(kind);
+    static const FlightKindInfo kUnknown{"unknown", nullptr, 0,
+                                         FlightLatch::None};
+    return k < std::size(kFlightKinds) ? kFlightKinds[k] : kUnknown;
+}
+
+void
+FlightRecorder::record(std::uint64_t cycle, FlightKind kind,
+                       std::uint64_t a, std::uint64_t b)
+{
+    store(FlightEvent{cycle, a, b, kind});
+    const FlightKindInfo &info = flightKindInfo(kind);
+    if (_trace != nullptr && info.instant != nullptr)
+        _trace->instant(info.track, info.instant, cycle);
+    ServiceForensics &f = forensics();
+    switch (info.latch) {
+    case FlightLatch::None: break;
+    case FlightLatch::PressureOn: f.pressure.store(1); break;
+    case FlightLatch::PressureOff: f.pressure.store(0); break;
+    case FlightLatch::DegradedOn: f.degraded.store(1); break;
+    case FlightLatch::DegradedOff: f.degraded.store(0); break;
+    case FlightLatch::WatchdogTick:
+        f.watchdogTickCycle.store(cycle);
+        break;
     }
-    return "unknown";
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
@@ -103,7 +143,7 @@ FlightRecorder::renderJson(const std::string &label) const
         first = false;
         out += "{\"cycle\": " + std::to_string(e.cycle) +
                ", \"kind\": \"";
-        out += flightKindName(e.kind);
+        out += flightKindInfo(e.kind).name;
         out += "\", \"a\": " + std::to_string(e.a) +
                ", \"b\": " + std::to_string(e.b) + "}";
     }
@@ -153,15 +193,18 @@ FlightRecorder::loadState(ckpt::Deserializer &in)
     _total = 0;
     const std::uint64_t kept =
         total < _ring.size() ? total : _ring.size();
-    // Replay the retained tail through record() so the ring cursor
-    // lands exactly where the saved run left it.
+    // Replay the retained tail through the bare ring store so the
+    // cursor lands exactly where the saved run left it.  Not through
+    // record(): these events already reached the trace and the
+    // forensics when they happened.
     _total = total - kept;
     for (std::uint64_t i = 0; i < kept; ++i) {
-        const std::uint64_t cycle = in.u64();
-        const std::uint64_t a = in.u64();
-        const std::uint64_t b = in.u64();
-        const FlightKind kind = static_cast<FlightKind>(in.u8());
-        record(cycle, kind, a, b);
+        FlightEvent e;
+        e.cycle = in.u64();
+        e.a = in.u64();
+        e.b = in.u64();
+        e.kind = static_cast<FlightKind>(in.u8());
+        store(e);
     }
 }
 

@@ -12,6 +12,14 @@
  * the externally visible trace (events index control decisions, never
  * addresses or path positions; see DESIGN.md §13 for the argument).
  *
+ * record() is the one call a control event makes.  The kind table
+ * (flightKindInfo) says what else the event feeds: the trace instant
+ * it renders as when a TraceSession is attached (name and track only,
+ * at the event's cycle — the operands never reach the trace) and the
+ * panic-diag forensics latch it sets.  So the ring, the trace and the
+ * forensics cannot disagree about which control events happened or
+ * in what order.
+ *
  * Rendered dumps land in two places:
  *  - a process-wide registry keyed by (label, content hash), flushed
  *    by guardedMain into flightrec-<bench>.json on any exit.  Content
@@ -40,6 +48,8 @@
 namespace sboram {
 namespace obs {
 
+class TraceSession;
+
 /** What happened.  Operands a/b per kind are documented inline. */
 enum class FlightKind : std::uint8_t
 {
@@ -58,8 +68,28 @@ enum class FlightKind : std::uint8_t
     Corruption = 12,     ///< a=access count, b=tree level.
 };
 
-/** Human-readable kind name (JSON dump vocabulary). */
-const char *flightKindName(FlightKind kind);
+/** The panic-diag forensics field a kind sets (ServiceForensics). */
+enum class FlightLatch : std::uint8_t
+{
+    None,
+    PressureOn,    ///< pressure = 1.
+    PressureOff,   ///< pressure = 0.
+    DegradedOn,    ///< degraded = 1.
+    DegradedOff,   ///< degraded = 0.
+    WatchdogTick,  ///< last_watchdog_tick = the event's cycle.
+};
+
+/** One row of the kind table. */
+struct FlightKindInfo
+{
+    const char *name;     ///< Ring/JSON dump vocabulary.
+    const char *instant;  ///< Trace-instant name, or null for none.
+    unsigned track;       ///< Trace track of the instant (Trace.hh).
+    FlightLatch latch;
+};
+
+/** The kind table row of @p kind (its name is the dump vocabulary). */
+const FlightKindInfo &flightKindInfo(FlightKind kind);
 
 /** One recorded event. */
 struct FlightEvent
@@ -79,18 +109,16 @@ class FlightRecorder
   public:
     explicit FlightRecorder(std::size_t capacity = kFlightCapacity);
 
-    /** Record one event; overwrites the oldest when full. */
-    SB_HOT void
-    record(std::uint64_t cycle, FlightKind kind, std::uint64_t a = 0,
-           std::uint64_t b = 0)
-    {
-        FlightEvent &e = _ring[_total % _ring.size()];
-        e.cycle = cycle;
-        e.kind = kind;
-        e.a = a;
-        e.b = b;
-        ++_total;
-    }
+    /** Feed this recorder's instants into @p trace (null: none). */
+    void attachTrace(TraceSession *trace) { _trace = trace; }
+
+    /**
+     * Record one event (overwrites the oldest when full), emit its
+     * trace instant when a trace is attached and set its forensics
+     * latch — everything the kind table says the event feeds.
+     */
+    void record(std::uint64_t cycle, FlightKind kind, std::uint64_t a = 0,
+                std::uint64_t b = 0);
 
     /** Retained events, oldest first. */
     std::vector<FlightEvent> events() const;
@@ -115,8 +143,18 @@ class FlightRecorder
     void loadState(ckpt::Deserializer &in);
 
   private:
+    /** The ring store alone: what loadState replays through, so a
+     *  restored tail re-emits no instant and sets no latch. */
+    void
+    store(const FlightEvent &e)
+    {
+        _ring[_total % _ring.size()] = e;
+        ++_total;
+    }
+
     std::vector<FlightEvent> _ring;
     std::uint64_t _total = 0;
+    TraceSession *_trace = nullptr;
 };
 
 /** Dump label of a run: @p configured when set, else
@@ -155,9 +193,10 @@ void resetFlightStateForTesting();
 /**
  * Last-known control-plane state for the unconditional panic-diag
  * fields: the service-pressure latch, the tier-2 degraded latch and
- * the last watchdog tick.  Updated by the owning run as those states
- * change; read (cross-thread, hence atomics) by emitPanicDiag on the
- * main thread after a future rethrow.  With concurrent runs the slot
+ * the last watchdog tick.  Set by FlightRecorder::record() from the
+ * kind table (a restore may re-assert the pressure latch); read
+ * (cross-thread, hence atomics) by emitPanicDiag on the main thread
+ * after a future rethrow.  With concurrent runs the slot
  * is last-writer-wins — panic drills run single-threaded.
  */
 struct ServiceForensics

@@ -17,6 +17,8 @@
 #ifndef SBORAM_OBS_METRICNAMES_HH
 #define SBORAM_OBS_METRICNAMES_HH
 
+#include <cstdint>
+
 namespace sboram {
 namespace obs {
 
@@ -99,7 +101,8 @@ inline constexpr char kMetricSvcLatency[] = "svc.latency";
 // metric names they must come from this header: sblint's
 // untracked-metric rule also checks the first argument of every
 // TimelineRecord::stage() call and treats kStage* identifiers
-// declared here as the canonical stage vocabulary.
+// declared here (the ids, the names and the kStageNames table) as the
+// canonical stage vocabulary.
 
 /** Waiting in the admission queue, eligible or not yet issued. */
 inline constexpr char kStageQueueWait[] = "svc.stage.queue_wait";
@@ -112,6 +115,24 @@ inline constexpr char kStagePathAccess[] = "svc.stage.path_access";
 /** Own path access, data forwarded early by a shadow copy. */
 inline constexpr char kStageShadowForward[] =
     "svc.stage.shadow_forward";
+
+/** Dense stage index: a timeline segment's type and the row of every
+ *  per-stage table. */
+enum StageId : std::uint8_t
+{
+    kStageIdQueueWait = 0,
+    kStageIdRetryBackoff = 1,
+    kStageIdDedupJoin = 2,
+    kStageIdPathAccess = 3,
+    kStageIdShadowForward = 4,
+    kStageIdCount = 5,
+};
+
+/** Stage name by StageId. */
+inline constexpr const char *kStageNames[kStageIdCount] = {
+    kStageQueueWait, kStageRetryBackoff, kStageDedupJoin,
+    kStagePathAccess, kStageShadowForward,
+};
 
 } // namespace obs
 } // namespace sboram

@@ -1,10 +1,10 @@
 #include "obs/RequestTrace.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <string>
 
+#include "common/Errors.hh"
 #include "common/Logging.hh"
-#include "obs/MetricNames.hh"
 #include "obs/Metrics.hh"
 
 namespace sboram {
@@ -25,45 +25,36 @@ percentile(const std::vector<Cycles> &sorted, std::uint64_t q)
     return sorted[k - 1];
 }
 
-} // namespace
-
+/** Stage id read from a snapshot; anything out of range is input
+ *  the loader rejects, not a crash. */
 StageId
-stageIdOf(const char *name)
+loadStageId(ckpt::Deserializer &in)
 {
-    // Call sites pass the kStage* constants, so pointer identity hits
-    // first; the strcmp fallback keeps serialized names working.
-    if (name == kStageQueueWait ||
-        std::strcmp(name, kStageQueueWait) == 0)
-        return kStageIdQueueWait;
-    if (name == kStageRetryBackoff ||
-        std::strcmp(name, kStageRetryBackoff) == 0)
-        return kStageIdRetryBackoff;
-    if (name == kStageDedupJoin ||
-        std::strcmp(name, kStageDedupJoin) == 0)
-        return kStageIdDedupJoin;
-    if (name == kStagePathAccess ||
-        std::strcmp(name, kStagePathAccess) == 0)
-        return kStageIdPathAccess;
-    if (name == kStageShadowForward ||
-        std::strcmp(name, kStageShadowForward) == 0)
-        return kStageIdShadowForward;
-    SB_ASSERT(false, "unknown stage name '%s' (must come from "
-              "obs/MetricNames.hh)", name);
-    return kStageIdQueueWait;
+    const std::uint8_t id = in.u8();
+    if (id >= kStageIdCount)
+        throw CkptMismatchError("snapshot timeline segment has stage id " +
+                                std::to_string(id) + " (want < " +
+                                std::to_string(kStageIdCount) + ")");
+    return static_cast<StageId>(id);
 }
 
-const char *
-stageName(StageId id)
+} // namespace
+
+StageCut
+cutOf(std::vector<Cycles> samples)
 {
-    switch (id) {
-    case kStageIdQueueWait: return kStageQueueWait;
-    case kStageIdRetryBackoff: return kStageRetryBackoff;
-    case kStageIdDedupJoin: return kStageDedupJoin;
-    case kStageIdPathAccess: return kStagePathAccess;
-    case kStageIdShadowForward: return kStageShadowForward;
-    default: break;
-    }
-    return kStageQueueWait;
+    StageCut cut;
+    if (samples.empty())
+        return cut;
+    std::sort(samples.begin(), samples.end());
+    cut.count = samples.size();
+    cut.p50 = percentile(samples, 500);
+    cut.p99 = percentile(samples, 990);
+    cut.p999 = percentile(samples, 999);
+    cut.max = samples.back();
+    for (Cycles t : samples)
+        cut.total += t;
+    return cut;
 }
 
 void
@@ -96,13 +87,16 @@ TimelineRecord::loadState(ckpt::Deserializer &in)
     _openStart = in.u64();
     _inBackoff = in.u8() != 0;
     _truncated = in.u32();
-    _nSegs = static_cast<std::size_t>(in.u64());
-    SB_ASSERT(_nSegs <= kMaxSegs,
-              "timeline record overflows its segment array");
+    const std::uint64_t segs = in.u64();
+    if (segs > kMaxSegs)
+        throw CkptMismatchError("snapshot timeline record carries " +
+                                std::to_string(segs) + " segments (max " +
+                                std::to_string(kMaxSegs) + ")");
+    _nSegs = static_cast<std::size_t>(segs);
     for (std::size_t i = 0; i < _nSegs; ++i) {
         _segs[i].start = in.u64();
         _segs[i].end = in.u64();
-        _segs[i].stage = in.u8();
+        _segs[i].stage = loadStageId(in);
     }
     for (std::size_t i = 0; i < kStageIdCount; ++i)
         _totals[i] = in.u64();
@@ -151,21 +145,8 @@ std::array<StageCut, kStageIdCount>
 StageAccumulator::finalize() const
 {
     std::array<StageCut, kStageIdCount> cuts;
-    for (std::size_t i = 0; i < kStageIdCount; ++i) {
-        const std::vector<Cycles> &s = _samples[i];
-        if (s.empty())
-            continue;
-        std::vector<Cycles> sorted = s;
-        std::sort(sorted.begin(), sorted.end());
-        StageCut &cut = cuts[i];
-        cut.count = sorted.size();
-        cut.p50 = percentile(sorted, 500);
-        cut.p99 = percentile(sorted, 990);
-        cut.p999 = percentile(sorted, 999);
-        cut.max = sorted.back();
-        for (Cycles t : sorted)
-            cut.total += t;
-    }
+    for (std::size_t i = 0; i < kStageIdCount; ++i)
+        cuts[i] = cutOf(_samples[i]);
     return cuts;
 }
 
@@ -257,8 +238,7 @@ ExemplarReservoir::renderJsonl() const
                 if (i)
                     out += ", ";
                 out += "{\"stage\": \"";
-                out += stageName(
-                    static_cast<StageId>(e.segs[i].stage));
+                out += kStageNames[e.segs[i].stage];
                 out += "\", \"start\": " +
                        std::to_string(e.segs[i].start) +
                        ", \"end\": " +
@@ -324,7 +304,7 @@ ExemplarReservoir::loadState(ckpt::Deserializer &in)
                 StageSeg seg;
                 seg.start = in.u64();
                 seg.end = in.u64();
-                seg.stage = in.u8();
+                seg.stage = loadStageId(in);
                 e.segs.push_back(seg);
             }
             kept.push_back(std::move(e));

@@ -37,33 +37,17 @@
 #include "ckpt/Serde.hh"
 #include "common/Types.hh"
 #include "crypto/Prf.hh"
+#include "obs/MetricNames.hh"
 
 namespace sboram {
 namespace obs {
-
-/** Dense stage index; names live in MetricNames.hh (kStage*). */
-enum StageId : std::uint8_t
-{
-    kStageIdQueueWait = 0,
-    kStageIdRetryBackoff = 1,
-    kStageIdDedupJoin = 2,
-    kStageIdPathAccess = 3,
-    kStageIdShadowForward = 4,
-    kStageIdCount = 5,
-};
-
-/** Stage id for a kStage* name (asserts on an unknown name). */
-StageId stageIdOf(const char *name);
-
-/** Canonical kStage* name for a stage id. */
-const char *stageName(StageId id);
 
 /** One closed stage segment on a request timeline. */
 struct StageSeg
 {
     Cycles start = 0;
     Cycles end = 0;
-    std::uint8_t stage = 0;  ///< StageId.
+    StageId stage = kStageIdQueueWait;
 };
 
 /**
@@ -95,11 +79,10 @@ class TimelineRecord
         _totals.fill(0);
     }
 
-    /** Append a closed [start, end) segment under a kStage* name. */
+    /** Append a closed [start, end) segment of stage @p id. */
     SB_HOT void
-    stage(const char *name, Cycles start, Cycles end)
+    stage(StageId id, Cycles start, Cycles end)
     {
-        const StageId id = stageIdOf(name);
         if (end <= start)
             return;
         _totals[id] += end - start;
@@ -201,6 +184,9 @@ struct StageCut
     Cycles max = 0;
     Cycles total = 0;  ///< Sum over all completions.
 };
+
+/** Exact nearest-rank cut of one sample (zeros when it is empty). */
+StageCut cutOf(std::vector<Cycles> samples);
 
 /**
  * Collects per-stage durations of every completion and cuts exact

@@ -1,7 +1,5 @@
 #include "Trace.hh"
 
-#include "Metrics.hh"
-
 namespace sboram {
 namespace obs {
 
@@ -30,7 +28,7 @@ TraceSession::begin(unsigned tid, const char *name, std::uint64_t ts)
     if (_openDepth.size() <= tid)
         _openDepth.resize(tid + 1, 0);
     ++_openDepth[tid];
-    _events.push_back({'B', tid, name, ts, 0, 0.0});
+    _events.push_back({'B', tid, name, ts, 0});
 }
 
 void
@@ -40,26 +38,20 @@ TraceSession::end(unsigned tid, std::uint64_t ts)
         _openDepth.resize(tid + 1, 0);
     if (_openDepth[tid] > 0)
         --_openDepth[tid];
-    _events.push_back({'E', tid, std::string(), ts, 0, 0.0});
+    _events.push_back({'E', tid, std::string(), ts, 0});
 }
 
 void
 TraceSession::complete(unsigned tid, const char *name,
                        std::uint64_t ts, std::uint64_t dur)
 {
-    _events.push_back({'X', tid, name, ts, dur, 0.0});
+    _events.push_back({'X', tid, name, ts, dur});
 }
 
 void
 TraceSession::instant(unsigned tid, const char *name, std::uint64_t ts)
 {
-    _events.push_back({'i', tid, name, ts, 0, 0.0});
-}
-
-void
-TraceSession::counter(const char *name, std::uint64_t ts, double value)
-{
-    _events.push_back({'C', 0, name, ts, 0, value});
+    _events.push_back({'i', tid, name, ts, 0});
 }
 
 unsigned
@@ -91,9 +83,6 @@ TraceSession::render() const
             out += ", \"dur\": " + std::to_string(e.dur);
         if (e.phase == 'i')
             out += ", \"s\": \"t\"";
-        if (e.phase == 'C')
-            out += ", \"args\": {\"value\": " +
-                   formatDouble(e.value) + "}";
         out += "}";
     }
     out += "\n]}\n";

@@ -61,9 +61,6 @@ class TraceSession
     /** Zero-duration marker (ph "i", thread scope). */
     void instant(unsigned tid, const char *name, std::uint64_t ts);
 
-    /** Counter sample (ph "C") — plotted as a time-series lane. */
-    void counter(const char *name, std::uint64_t ts, double value);
-
     /** Open B-spans on @p tid (0 when balanced). */
     unsigned openSpans(unsigned tid) const;
 
@@ -79,12 +76,11 @@ class TraceSession
   private:
     struct Event
     {
-        char phase;           ///< B, E, X, i or C.
+        char phase;           ///< B, E, X or i.
         unsigned tid = 0;
         std::string name;     ///< Empty for E.
         std::uint64_t ts = 0;
         std::uint64_t dur = 0;   ///< X only.
-        double value = 0.0;      ///< C only.
     };
 
     unsigned _pid;

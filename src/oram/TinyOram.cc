@@ -60,6 +60,8 @@ void
 TinyOram::setObserver(obs::RunObserver *obs)
 {
     _obs = obs;
+    if (_flight != nullptr)
+        _flight->attachTrace(obs ? obs->trace() : nullptr);
     if (!_faults)
         return;
     if (obs == nullptr) {
@@ -950,8 +952,6 @@ TinyOram::applyBackpressure(Cycles time)
         if (_flight != nullptr)
             _flight->record(time, obs::FlightKind::DegradedEnter,
                             _stash.realCount());
-        obs::forensics().degraded.store(1);
-        traceInstant(obs::kTrackEviction, "degraded_enter", time);
     }
     if (_health.degraded()) {
         // One emergency background sweep per access while degraded:
@@ -974,8 +974,6 @@ TinyOram::applyBackpressure(Cycles time)
         if (_flight != nullptr)
             _flight->record(time, obs::FlightKind::DegradedExit,
                             _stash.realCount());
-        obs::forensics().degraded.store(0);
-        traceInstant(obs::kTrackEviction, "degraded_exit", time);
     }
     return time;
 }

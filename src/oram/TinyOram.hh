@@ -146,7 +146,8 @@ class TinyOram
      * events).  Null (the default) disables every hook: each site is
      * a single branch on this pointer, like _traceSink.  Also hooks
      * the fault injector so planted corruptions show up as trace
-     * instants.
+     * instants, and the flight recorder (attach it first) so its
+     * control events do.
      */
     void setObserver(obs::RunObserver *obs);
 

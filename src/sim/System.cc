@@ -8,7 +8,6 @@
 #include "common/Logging.hh"
 #include "mem/EnergyModel.hh"
 #include "obs/FlightRecorder.hh"
-#include "obs/Trace.hh"
 #include "security/InvariantChecker.hh"
 #include "sim/RunHarness.hh"
 #include "workload/SpecProfiles.hh"
@@ -493,10 +492,6 @@ runSystem(const SystemConfig &cfg,
             flight.record(cursor.partial.finishTime,
                           obs::FlightKind::AutoRollback,
                           rollbacksUsed, failedAt);
-            if (obs::TraceSession *t =
-                    obsPtr ? obsPtr->trace() : nullptr)
-                t->instant(obs::kTrackCheckpoint, "auto_rollback",
-                           cursor.partial.finishTime);
         }
     }
 

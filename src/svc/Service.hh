@@ -124,10 +124,10 @@ struct Request
     Cycles notBefore = 0;
     Cycles deadlineAt = 0;
     unsigned attempts = 0;  ///< Deadline expiries consumed so far.
-    /** Timeline-pool slot carrying this request's stage record; -1
-     *  until admission assigns one.  Not serialized — slots are
-     *  re-acquired in queue order on resume. */
-    std::int32_t timelineSlot = -1;
+    /** Timeline-pool slot carrying this request's stage record,
+     *  assigned at admission.  Not serialized — slots are re-acquired
+     *  in queue order on resume. */
+    std::uint32_t timelineSlot = 0;
 };
 
 /**

@@ -621,6 +621,110 @@ TEST_F(CkptResume, MissingPolicySectionIsRejectedBeforeAnyStateMutates)
         });
 }
 
+namespace {
+
+/** Re-frame @p image with section @p id's body passed through @p edit,
+ *  keeping its sequence number, fingerprint and every other section. */
+template <typename Edit>
+std::vector<std::uint8_t>
+withSectionEdited(const std::vector<std::uint8_t> &image,
+                  std::uint32_t id, Edit edit)
+{
+    ckpt::Deserializer in(image.data(), image.size());
+    in.skip(8 + 4);
+    const std::uint32_t count = in.u32();
+    const std::uint64_t seq = in.u64();
+    const std::uint64_t fingerprint = in.u64();
+    in.skip(8);
+    ckpt::SnapshotWriter w;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint32_t sid = in.u32();
+        std::vector<std::uint8_t> body(in.u64());
+        in.bytes(body.data(), body.size());
+        if (sid == id)
+            edit(body);
+        w.section(sid).bytes(body.data(), body.size());
+    }
+    return w.finish(seq, fingerprint);
+}
+
+/** Interrupt serviceResumeConfig() after 250 resolved requests with a
+ *  snapshot every 50, leaving both generations under @p dir. */
+std::uint64_t
+interruptResumeConfig(const std::string &dir)
+{
+    const svc::ServiceConfig cfg = serviceResumeConfig();
+    interruptService(cfg, dir, 50, 250);
+    return svc::serviceConfigFingerprint(cfg);
+}
+
+} // namespace
+
+TEST_F(CkptResume, ServiceSnapshotBytesArePinned)
+{
+    // The service snapshot (scheduler queue and retry state, pressure
+    // latch, SLO windows, timelines, flight ring and the OramStack
+    // sections with every ciphertext) may not move by a byte.  A
+    // deadline tight enough to expire queued requests puts retries in
+    // flight next to the watermarks, SLO windows and payload faults.
+    svc::ServiceConfig cfg = serviceResumeConfig();
+    cfg.deadline = 8'000;
+    cfg.maxRetries = 2;
+    TempDir dir;
+    interruptService(cfg, dir.path(), 50, 250);
+    const svc::ServiceStats s = resumeService(cfg, dir.path(), 50);
+    EXPECT_GT(s.retries, 0u);
+    EXPECT_GT(s.backpressureEntries, 0u);
+    EXPECT_GT(s.sloWindows, 0u);
+    EXPECT_GT(s.oram.faultsInjected, 0u);
+
+    TempDir pinned;
+    interruptService(cfg, pinned.path(), 50, 250);
+    const std::vector<std::uint8_t> image = ckpt::readFile(newestGeneration(
+        pinned.path(), svc::serviceConfigFingerprint(cfg)));
+    EXPECT_EQ(ckpt::fnv1a(image.data(), image.size()),
+              0x807581b8290fa32eULL);
+}
+
+TEST_F(CkptResume, ServiceRestoreRejectsTimelineCountMismatch)
+{
+    // The request-obs section must carry one timeline record per
+    // queued request; a snapshot that disagrees is rejected input.
+    TempDir dir;
+    const std::uint64_t key = interruptResumeConfig(dir.path());
+    for (unsigned slot = 0; slot < 2; ++slot) {
+        const std::string path = slotFile(dir.path(), key, slot);
+        ckpt::writeFileAtomic(
+            path, withSectionEdited(ckpt::readFile(path),
+                                    ckpt::kSectionReqObs,
+                                    [](std::vector<std::uint8_t> &body) {
+                                        ++body[0];  // Record count, LE.
+                                    }));
+    }
+    EXPECT_THROW(resumeService(serviceResumeConfig(), dir.path(), 50),
+                 CkptMismatchError);
+}
+
+TEST_F(CkptResume, ServiceRestoreRejectsQueueDeeperThanCapacity)
+{
+    // Resume into an admission queue too small for the snapshot's
+    // queue (the session is keyed on the original point).
+    TempDir dir;
+    const std::uint64_t key = interruptResumeConfig(dir.path());
+    {
+        ckpt::CheckpointSession session(dir.path(), key);
+        auto latest = session.loadLatest();
+        ASSERT_NE(latest, nullptr);
+        ASSERT_GE(latest->section(ckpt::kSectionReqObs).u64(), 2u);
+    }
+    svc::ServiceConfig small = serviceResumeConfig();
+    small.queueCapacity = 1;
+    small.queueHighWatermark = 0;
+    small.queueLowWatermark = 0;
+    ckpt::CheckpointSession session(dir.path(), key);
+    EXPECT_THROW(svc::runService(small, &session), CkptMismatchError);
+}
+
 TEST_F(CkptResume, UnwritableCheckpointDirIsOneLineFatal)
 {
     // Satellite: SB_CKPT_DIR pointing somewhere unusable must be a

@@ -4,75 +4,6 @@
 
 using namespace sboram;
 
-TEST(Accumulator, BasicMoments)
-{
-    Accumulator acc;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        acc.sample(v);
-    EXPECT_EQ(acc.count(), 4u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 4.0);
-    EXPECT_NEAR(acc.variance(), 1.25, 1e-9);
-}
-
-TEST(Accumulator, VarianceSurvivesLargeOffset)
-{
-    // Regression: the old sum-of-squares variance (E[x^2] - E[x]^2)
-    // cancels catastrophically when the mean dwarfs the spread —
-    // samples around 1e9 with unit spacing returned 0 or a negative
-    // variance.  Welford's update keeps full precision.
-    Accumulator acc;
-    acc.sample(1e9 + 1.0);
-    acc.sample(1e9 + 2.0);
-    acc.sample(1e9 + 3.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), 1e9 + 2.0);
-    EXPECT_NEAR(acc.variance(), 2.0 / 3.0, 1e-9);
-    EXPECT_GE(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, SumIsStillExactTotals)
-{
-    Accumulator acc;
-    for (double v : {0.25, 0.5, 0.75})
-        acc.sample(v);
-    EXPECT_DOUBLE_EQ(acc.sum(), 1.5);
-}
-
-TEST(Accumulator, EmptyIsZero)
-{
-    Accumulator acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_EQ(acc.mean(), 0.0);
-    EXPECT_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, ResetClears)
-{
-    Accumulator acc;
-    acc.sample(10.0);
-    acc.reset();
-    EXPECT_EQ(acc.count(), 0u);
-    acc.sample(3.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), 3.0);
-}
-
-TEST(Histogram, BinningAndOverflow)
-{
-    Histogram h(4, 10.0);  // bins [0,10) [10,20) [20,30) [30,40) +of
-    h.sample(0.0);
-    h.sample(9.9);
-    h.sample(10.0);
-    h.sample(35.0);
-    h.sample(1000.0);
-    EXPECT_EQ(h.counts()[0], 2u);
-    EXPECT_EQ(h.counts()[1], 1u);
-    EXPECT_EQ(h.counts()[2], 0u);
-    EXPECT_EQ(h.counts()[3], 1u);
-    EXPECT_EQ(h.counts()[4], 1u);  // overflow bin
-    EXPECT_EQ(h.summary().count(), 5u);
-}
-
 TEST(Means, GeometricMean)
 {
     EXPECT_NEAR(gmean({1.0, 4.0}), 2.0, 1e-12);

@@ -109,7 +109,7 @@ TEST(FlightRecorder, KindVocabularyIsTotal)
     for (std::uint8_t k = 0;
          k <= static_cast<std::uint8_t>(FlightKind::Corruption); ++k) {
         const char *name =
-            flightKindName(static_cast<FlightKind>(k));
+            flightKindInfo(static_cast<FlightKind>(k)).name;
         ASSERT_NE(name, nullptr);
         EXPECT_GT(std::string(name).size(), 0u);
     }

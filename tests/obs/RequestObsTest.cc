@@ -118,10 +118,10 @@ TEST(TimelineRecord, StageTotalsBalanceAndTruncationIsCounted)
     TimelineRecord rec;
     rec.reset(7, 3, 42, 100);
     // Wait [100,150), backoff [150,180), access [180,200).
-    rec.stage(kStageQueueWait, 100, 150);
-    rec.stage(kStageRetryBackoff, 150, 180);
-    rec.stage(kStagePathAccess, 180, 200);
-    rec.stage(kStageDedupJoin, 200, 200);  // Zero-length: dropped.
+    rec.stage(kStageIdQueueWait, 100, 150);
+    rec.stage(kStageIdRetryBackoff, 150, 180);
+    rec.stage(kStageIdPathAccess, 180, 200);
+    rec.stage(kStageIdDedupJoin, 200, 200);  // Zero-length: dropped.
     EXPECT_EQ(rec.totalAll(), 100u);
     EXPECT_EQ(rec.total(kStageIdQueueWait), 50u);
     EXPECT_EQ(rec.total(kStageIdRetryBackoff), 30u);
@@ -130,13 +130,52 @@ TEST(TimelineRecord, StageTotalsBalanceAndTruncationIsCounted)
 
     // Overflow the segment list: totals stay exact, detail truncates.
     for (int i = 0; i < 20; ++i)
-        rec.stage(kStageQueueWait, 1000 + i * 2, 1000 + i * 2 + 1);
+        rec.stage(kStageIdQueueWait, 1000 + i * 2, 1000 + i * 2 + 1);
     EXPECT_EQ(rec.segCount(), TimelineRecord::kMaxSegs);
     EXPECT_GT(rec.truncated(), 0u);
     EXPECT_EQ(rec.totalAll(), 120u);
 }
 
 // --- exemplar reservoir -----------------------------------------------
+
+namespace {
+
+/** A serialized TimelineRecord header claiming @p segs segments. */
+ckpt::Serializer
+timelineHeader(std::uint64_t segs)
+{
+    ckpt::Serializer out;
+    for (int i = 0; i < 5; ++i)
+        out.u64(0);  // seq, client, addr, arrival, openStart.
+    out.u8(0);       // inBackoff.
+    out.u32(0);      // truncated.
+    out.u64(segs);
+    return out;
+}
+
+} // namespace
+
+TEST(TimelineRecord, LoadRejectsMoreSegmentsThanItHolds)
+{
+    // Snapshot input: a segment count past kMaxSegs is rejected, not
+    // written past the fixed segment array.
+    const ckpt::Serializer out = timelineHeader(TimelineRecord::kMaxSegs + 1);
+    ckpt::Deserializer in(out.buffer().data(), out.buffer().size());
+    TimelineRecord rec;
+    EXPECT_THROW(rec.loadState(in), CkptMismatchError);
+}
+
+TEST(TimelineRecord, LoadRejectsAnUnknownStageId)
+{
+    // A stage id indexes kStageNames when the exemplar renders.
+    ckpt::Serializer out = timelineHeader(1);
+    out.u64(10);  // start
+    out.u64(20);  // end
+    out.u8(kStageIdCount);
+    ckpt::Deserializer in(out.buffer().data(), out.buffer().size());
+    TimelineRecord rec;
+    EXPECT_THROW(rec.loadState(in), CkptMismatchError);
+}
 
 TEST(ExemplarReservoir, SelectionIsInsertionOrderIndependent)
 {
@@ -147,7 +186,7 @@ TEST(ExemplarReservoir, SelectionIsInsertionOrderIndependent)
     std::vector<TimelineRecord> recs(40);
     for (std::size_t i = 0; i < recs.size(); ++i) {
         recs[i].reset(i, i % 5, i * 3, i * 100);
-        recs[i].stage(kStageQueueWait, i * 100, i * 100 + 50 + i);
+        recs[i].stage(kStageIdQueueWait, i * 100, i * 100 + 50 + i);
     }
     for (std::size_t i = 0; i < recs.size(); ++i)
         fwd.offer(recs[i], 50 + i, false, 0);
@@ -167,7 +206,7 @@ TEST(ExemplarReservoir, SerdeRoundTripPreservesTheKeptSet)
     std::vector<TimelineRecord> recs(10);
     for (std::size_t i = 0; i < recs.size(); ++i) {
         recs[i].reset(i, i, i, 0);
-        recs[i].stage(kStagePathAccess, 0, 100 + i * 37);
+        recs[i].stage(kStageIdPathAccess, 0, 100 + i * 37);
         res.offer(recs[i], 100 + i * 37, i % 2 == 0, 1);
     }
     ckpt::Serializer out;

@@ -36,7 +36,6 @@ TEST(TraceSession, RenderedDocumentIsValidJson)
     t.begin(kTrackPipeline, "access", 0);
     t.complete(kTrackPipeline, "path_read", 5, 100);
     t.instant(kTrackEviction, "fault_detected", 50);
-    t.counter("stash.real", 60, 12.5);
     t.end(kTrackPipeline, 200);
 
     const std::string doc = t.render();

@@ -15,7 +15,8 @@
 #   3. obs_check must accept both artifacts under the strict RFC 8259
 #      parser plus the flightrec/exemplars schema smoke,
 #   4. observation must not change the observed output: a third run
-#      with SB_OBS=0 must print the same stdout,
+#      with SB_OBS_TRACE=1 SB_OBS_METRICS=1 must write trace and
+#      metrics files and print the same stdout,
 #   5. the forced-panic drill (SB_CHAOS_FORCE_PANIC=1 chaos_storm)
 #      must exit 2 with a panic-diag line carrying the service
 #      forensics fields, a panic-flight line, and a flightrec
@@ -80,10 +81,16 @@ cmp -s "$FR1" "$FR8" ||
     SB_BENCH_REGRESSION=0 "$STORM" >out.txt 2>err.txt) ||
     fail "observed (SB_OBS_TRACE=1) run failed (see stderr):
 $(tail -5 "$WORKU/err.txt")"
+ls "$WORKU"/trace-*.json >/dev/null 2>&1 ||
+    fail "observed run wrote no trace-*.json — SB_OBS_TRACE was ignored"
+ls "$WORKU"/metrics-*.jsonl >/dev/null 2>&1 ||
+    fail "observed run wrote no metrics-*.jsonl — SB_OBS_METRICS was ignored"
 cmp -s "$WORK1/out.txt" "$WORKU/out.txt" ||
     fail "stdout differs between observed and unobserved runs"
 cmp -s "$EX1" "$WORKU/exemplars-service_storm.jsonl" ||
     fail "exemplar traces differ between observed and unobserved runs"
+cmp -s "$FR1" "$WORKU/flightrec-service_storm.json" ||
+    fail "flight dumps differ between observed and unobserved runs"
 
 # --- 5. forced-panic drill: the flight recorder survives the crash ----
 RC=0
