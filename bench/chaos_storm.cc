@@ -196,12 +196,18 @@ outcomeFingerprint(const PhaseOutcome &o)
  * somewhere to roll back to).  Self-contained: runs on a worker via
  * defer(), every capture by value.  A CorruptionError here means the
  * rollback budget is spent — that is the availability loss this
- * bench measures, not a harness failure.
+ * bench measures, not a harness failure.  SB_OBS_* apply as in
+ * ExperimentRunner::submit, labelled by the session key (one per
+ * phase and determinism pass) so two workers never write one file.
  */
 PhaseOutcome
 runPhase(SystemConfig cfg, std::string workload, std::uint64_t misses,
-         std::string ckptDir, std::uint64_t key)
+         std::string ckptDir, std::uint64_t key, unsigned pass)
 {
+    obs::applyEnv(cfg.obs);
+    if (cfg.obs.any() && cfg.obs.label.empty())
+        cfg.obs.label =
+            obs::makeLabel("chaos-pass" + std::to_string(pass), key);
     const SharedTrace trace = cachedTrace(workload, misses, kBenchSeed);
     ckpt::CheckpointSession session(ckptDir, key);
     session.removeSnapshots();  // Stale state from a killed prior run.
@@ -362,9 +368,9 @@ runBench()
                         (0x517cc1b727220a95ULL *
                          (pointIndex * 2 + pass + 1));
                     slot.pass[pass] = runner().defer(
-                        [cfg, workload, misses, ckptDir, key] {
+                        [cfg, workload, misses, ckptDir, key, pass] {
                             return runPhase(cfg, workload, misses,
-                                            ckptDir, key);
+                                            ckptDir, key, pass);
                         });
                 }
                 slots.push_back(slot);

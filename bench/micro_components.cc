@@ -56,18 +56,18 @@ BM_DramPathRead(benchmark::State &state)
     DramModel dram(DramTiming::ddr3_1333(), DramGeometry{});
     const unsigned leafLevel = 18, z = 5;
     AddressMap map(DramGeometry{}, leafLevel + 1, z);
-    std::vector<DramCoord> coords;
-    for (unsigned level = 0; level <= leafLevel; ++level) {
-        BucketIndex b = ((BucketIndex(1) << level) - 1) +
-                        (0x15555u >> (leafLevel - level));
-        for (unsigned s = 0; s < z; ++s)
-            coords.push_back(map.mapSlot(b, s));
-    }
+    std::vector<DramCoord> buckets;
     Cycles t = 0;
     for (auto _ : state) {
-        BatchTiming bt = dram.accessBatch(t, coords, false);
-        t = bt.finish;
-        benchmark::DoNotOptimize(bt.finish);
+        // What TinyOram::pathRead runs: one coordinate per bucket,
+        // then the per-block schedule.
+        buckets.clear();
+        for (unsigned level = 0; level <= leafLevel; ++level)
+            buckets.push_back(
+                map.mapBucket(((BucketIndex(1) << level) - 1) +
+                              (0x15555u >> (leafLevel - level))));
+        t = dram.accessPath(t, buckets, z, false).finish;
+        benchmark::DoNotOptimize(t);
     }
 }
 BENCHMARK(BM_DramPathRead);

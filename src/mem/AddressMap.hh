@@ -13,7 +13,9 @@
 #ifndef SBORAM_MEM_ADDRESSMAP_HH
 #define SBORAM_MEM_ADDRESSMAP_HH
 
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "DramTiming.hh"
 #include "common/Logging.hh"
@@ -51,8 +53,44 @@ class AddressMap
     /** Number of tree levels packed per sub-tree (per DRAM row). */
     unsigned subtreeLevels() const { return _subtreeLevels; }
 
+    /**
+     * Physical location of a bucket's slot 0.  A bucket's Z slots are
+     * consecutive columns of one row, so slot s sits at column + s.
+     */
+    SB_HOT DramCoord
+    mapBucket(BucketIndex bucket) const
+    {
+        const unsigned level = levelOf(bucket);
+        SB_ASSERT(level < _layout.size(), "bucket %llu beyond the tree",
+                  static_cast<unsigned long long>(bucket));
+        const LevelLayout &l = _layout[level];
+        const BucketIndex withinLevel = bucket - l.start;
+        // Sub-tree sequence number (sub-trees of earlier groups first,
+        // then left to right) and heap position inside the sub-tree.
+        // localBase = 2^depth - 1 is also the mask of the offset below
+        // the sub-tree root.
+        const std::uint64_t seq = l.seqBase + (withinLevel >> l.depth);
+        const std::uint64_t local =
+            l.localBase + (withinLevel & l.localBase);
+        const BankPlace &p = _bankPlace[seq % _bankPlace.size()];
+        DramCoord c;
+        c.channel = p.channel;
+        c.rank = p.rank;
+        c.bank = p.bank;
+        c.row = seq / _bankPlace.size();
+        c.column = local * _slots;
+        return c;
+    }
+
     /** Map a tree slot to its physical location. */
-    DramCoord mapSlot(BucketIndex bucket, unsigned slot) const;
+    DramCoord
+    mapSlot(BucketIndex bucket, unsigned slot) const
+    {
+        SB_ASSERT(slot < _slots, "slot %u out of range", slot);
+        DramCoord c = mapBucket(bucket);
+        c.column += slot;
+        return c;
+    }
 
     /** Map a flat block address (insecure baseline). */
     DramCoord mapFlat(Addr blockAddr) const;
@@ -61,18 +99,32 @@ class AddressMap
     static unsigned
     levelOf(BucketIndex bucket)
     {
-        unsigned level = 0;
-        while (bucket >= (BucketIndex(2) << level) - 1)
-            ++level;
-        return level;
+        return static_cast<unsigned>(std::bit_width(bucket + 1)) - 1;
     }
 
   private:
+    /** The sub-tree layout of one tree level, fixed by the geometry. */
+    struct LevelLayout
+    {
+        BucketIndex start = 0;       ///< Heap index of its first bucket.
+        unsigned depth = 0;          ///< Level within its sub-tree.
+        std::uint64_t seqBase = 0;   ///< Sub-trees of the groups above.
+        std::uint64_t localBase = 0; ///< 2^depth - 1, in-sub-tree heap.
+    };
+
+    /** Channel/rank/bank of one bank index (seq mod total banks). */
+    struct BankPlace
+    {
+        unsigned channel = 0;
+        unsigned rank = 0;
+        unsigned bank = 0;
+    };
+
     DramGeometry _geo;
-    unsigned _levels;
     unsigned _slots;
     unsigned _subtreeLevels;
-    std::uint64_t _bucketBytes;
+    std::vector<LevelLayout> _layout;
+    std::vector<BankPlace> _bankPlace;  ///< Indexed by seq mod banks.
 };
 
 } // namespace sboram

@@ -87,6 +87,15 @@ DramModel::scheduleBlock(Cycles earliestStart, const DramCoord &c,
     return dataDone;
 }
 
+Cycles
+DramModel::busTimeOf(bool isWrite, bool compressedBus,
+                     unsigned busDivisor) const
+{
+    if (compressedBus && !isWrite && busDivisor > 1)
+        return std::max<Cycles>(1, _timing.tBURST / busDivisor);
+    return _timing.tBURST;
+}
+
 BatchTiming
 DramModel::accessBatch(Cycles earliestStart,
                        const std::vector<DramCoord> &coords,
@@ -95,18 +104,38 @@ DramModel::accessBatch(Cycles earliestStart,
 {
     BatchTiming result;
     result.completion.reserve(coords.size());
-
-    Cycles busTime = _timing.tBURST;
-    if (compressedBus && !isWrite && busDivisor > 1) {
-        busTime = std::max<Cycles>(1, _timing.tBURST / busDivisor);
-    }
-
+    const Cycles busTime = busTimeOf(isWrite, compressedBus, busDivisor);
     for (const DramCoord &c : coords) {
         Cycles done = scheduleBlock(earliestStart, c, isWrite, busTime);
         result.completion.push_back(done);
         result.finish = std::max(result.finish, done);
     }
     return result;
+}
+
+SB_HOT const BatchTiming &
+DramModel::accessPath(Cycles earliestStart,
+                      const std::vector<DramCoord> &buckets,
+                      unsigned slotsPerBucket, bool isWrite,
+                      bool compressedBus)
+{
+    const Cycles busTime =
+        busTimeOf(isWrite, compressedBus, slotsPerBucket);
+    // Local cursor and maximum: scheduleBlock writes through `this`,
+    // so member accumulators would be reloaded after every block.
+    _path.completion.resize(buckets.size() * slotsPerBucket);
+    Cycles *out = _path.completion.data();
+    Cycles finish = 0;
+    for (const DramCoord &c : buckets) {
+        for (unsigned s = 0; s < slotsPerBucket; ++s) {
+            const Cycles done =
+                scheduleBlock(earliestStart, c, isWrite, busTime);
+            *out++ = done;
+            finish = std::max(finish, done);
+        }
+    }
+    _path.finish = finish;
+    return _path;
 }
 
 Cycles

@@ -80,6 +80,21 @@ class DramModel
                             bool isWrite, bool compressedBus = false,
                             unsigned busDivisor = 1);
 
+    /**
+     * Schedule one path access given one coordinate per bucket, in
+     * access order: each bucket's @p slotsPerBucket blocks sit in one
+     * row (AddressMap::mapBucket) and the timing ignores the column,
+     * so they are scheduled as that coordinate back to back — the
+     * same schedule accessBatch gives the per-slot coordinates.
+     * Compression divides the read burst by @p slotsPerBucket.
+     *
+     * @return Per-block completions and the finish time, in a buffer
+     *         reused by the next accessPath call.
+     */
+    SB_HOT const BatchTiming &accessPath(
+        Cycles earliestStart, const std::vector<DramCoord> &buckets,
+        unsigned slotsPerBucket, bool isWrite, bool compressedBus = false);
+
     /** Single 64 B access (insecure baseline). */
     Cycles accessSingle(Cycles earliestStart, const DramCoord &coord,
                         bool isWrite);
@@ -175,6 +190,10 @@ class DramModel
         bool lastWasWrite = false;
     };
 
+    /** Data-bus occupancy of one block of a batch. */
+    Cycles busTimeOf(bool isWrite, bool compressedBus,
+                     unsigned busDivisor) const;
+
     /** Schedule one block; returns its data-complete time. */
     Cycles scheduleBlock(Cycles earliestStart, const DramCoord &c,
                          bool isWrite, Cycles busTime);
@@ -188,6 +207,7 @@ class DramModel
     std::vector<Rank> _ranks;
     std::vector<Channel> _channels;
     DramStats _stats;
+    BatchTiming _path;  ///< accessPath's result, reused across calls.
 };
 
 } // namespace sboram

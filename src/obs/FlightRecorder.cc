@@ -160,11 +160,8 @@ FlightRecorder::publishFatal(const std::string &label) const
 }
 
 std::string
-flightLabel(const std::string &configured, const char *prefix,
-            std::uint64_t fingerprint)
+flightLabel(const char *prefix, std::uint64_t fingerprint)
 {
-    if (!configured.empty())
-        return configured;
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%s-%016llx", prefix,
                   static_cast<unsigned long long>(fingerprint));

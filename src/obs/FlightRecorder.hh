@@ -157,11 +157,11 @@ class FlightRecorder
     TraceSession *_trace = nullptr;
 };
 
-/** Dump label of a run: @p configured when set, else
- *  "<prefix>-<fingerprint as 16 hex digits>", stable across
- *  processes. */
-std::string flightLabel(const std::string &configured,
-                        const char *prefix, std::uint64_t fingerprint);
+/** Dump label of a run: "<prefix>-<fingerprint as 16 hex digits>",
+ *  stable across processes.  Keyed on the point alone, never on the
+ *  observer's artifact label: the dump is always on and must not move
+ *  when someone watches. */
+std::string flightLabel(const char *prefix, std::uint64_t fingerprint);
 
 // --- Process-wide dump registry and panic forensics ------------------
 

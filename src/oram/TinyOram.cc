@@ -193,15 +193,14 @@ Cycles
 TinyOram::estimatePathReadLatency()
 {
     DramModel probe(_dram.timing(), _dram.geometry());
-    std::vector<DramCoord> coords;
+    std::vector<DramCoord> buckets;
     for (unsigned level = _cfg.treetopLevels;
-         level <= _geo.leafLevel; ++level) {
-        const BucketIndex b = _tree.bucketOnPath(0, level);
-        for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s)
-            coords.push_back(_addressMap.mapSlot(b, s));
-    }
-    BatchTiming t = probe.accessBatch(0, coords, false);
-    return t.finish + _cfg.aesLatency;
+         level <= _geo.leafLevel; ++level)
+        buckets.push_back(
+            _addressMap.mapBucket(_tree.bucketOnPath(0, level)));
+    return probe.accessPath(0, buckets, _cfg.slotsPerBucket, false)
+               .finish +
+           _cfg.aesLatency;
 }
 
 void
@@ -359,17 +358,18 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
 
     const unsigned ttl = _cfg.treetopLevels;
     _tree.bucketsOnPath(leaf, _pathBuckets);
-    std::vector<DramCoord> &coords = _readCoords;
-    coords.clear();
-    coords.reserve((_geo.leafLevel + 1 - ttl) * _cfg.slotsPerBucket);
-    for (unsigned level = ttl; level <= _geo.leafLevel; ++level) {
-        const BucketIndex b = _pathBuckets[level];
-        for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s)
-            coords.push_back(_addressMap.mapSlot(b, s));
-    }
-    BatchTiming batch = _dram.accessBatch(
-        startTime, coords, false, _cfg.xorCompression,
-        _cfg.slotsPerBucket);
+    // The path is public, so prefetching it leaks nothing: start
+    // loading every bucket's slot metadata while the DRAM schedule is
+    // computed.
+    for (unsigned level = 0; level <= _geo.leafLevel; ++level)
+        __builtin_prefetch(&_tree.slot(_pathBuckets[level], 0));
+    _readCoords.clear();
+    for (unsigned level = ttl; level <= _geo.leafLevel; ++level)
+        _readCoords.push_back(_addressMap.mapBucket(_pathBuckets[level]));
+    // Valid until the next accessPath: nothing below schedules DRAM.
+    const BatchTiming &batch =
+        _dram.accessPath(startTime, _readCoords, _cfg.slotsPerBucket,
+                         false, _cfg.xorCompression);
 
     PathReadOutcome out;
     out.finish = std::max(batch.finish,
@@ -471,9 +471,16 @@ TinyOram::takeSlot(Slot &slot, BucketIndex b, unsigned s, unsigned level,
     e.version = slot.version;
     e.type = slot.type;
     if (_cfg.payloadEnabled) {
+        // A request-read shadow whose address the stash already holds
+        // merges into that entry and Stash::insert discards its
+        // payload: skip the buffer and the decrypt (the verdict is
+        // still consumed and a failed one still heals).
+        const bool merges = mode == ReadMode::Request && e.isShadow() &&
+                            _stash.find(e.addr) != nullptr;
         // Decrypt into a pooled buffer (decryptInto reuses its
         // capacity) instead of allocating per block.
-        e.payload = _payloadPool.acquire(_cfg.blockBytes / 8);
+        if (!merges)
+            e.payload = _payloadPool.acquire(_cfg.blockBytes / 8);
         // Tier-1 spare store: a remapped cell's authoritative copy
         // lives on chip — the bad ciphertext stripe is never read, so
         // it can neither fault nor need healing.  Consumption retires
@@ -481,7 +488,8 @@ TinyOram::takeSlot(Slot &slot, BucketIndex b, unsigned s, unsigned level,
         // place.  Otherwise the slot's integrity verdict is ready
         // (verifyTakenSlots).
         if (auto sp = _spare.find(slotIdx); sp != _spare.end()) {
-            e.payload.assign(sp->second.begin(), sp->second.end());
+            if (!merges)
+                e.payload.assign(sp->second.begin(), sp->second.end());
             if (consume)
                 _spare.erase(sp);
         } else {
@@ -491,7 +499,8 @@ TinyOram::takeSlot(Slot &slot, BucketIndex b, unsigned s, unsigned level,
                       static_cast<unsigned long long>(slotIdx));
             const std::size_t at = _verdictCursor++;
             if (_verdicts[at] != 0) {
-                _codec.decryptInto(_verifyViews[at], e.payload);
+                if (!merges)
+                    _codec.decryptInto(_verifyViews[at], e.payload);
             } else {
                 healCorruptRead(slot, slotIdx, b, level, leaf, ready,
                                 e.payload);
@@ -629,8 +638,9 @@ TinyOram::pathWrite(LeafLabel leaf, Cycles startTime)
 
     _policy->endPathWrite();
 
-    BatchTiming batch = _dram.accessBatch(
-        startTime + _cfg.aesLatency, _writeCoords, true);
+    const BatchTiming &batch =
+        _dram.accessPath(startTime + _cfg.aesLatency, _writeCoords,
+                         _cfg.slotsPerBucket, true);
     const Cycles done =
         std::max(batch.finish, startTime + _cfg.onChipLatency);
     if (obs::TraceSession *t = _obs ? _obs->trace() : nullptr) {
@@ -784,10 +794,8 @@ TinyOram::placeGreedy(LeafLabel leaf)
             _dummyScratch.push_back(DummySlot{b, slotCursor, level});
 
         // DRAM writes for off-chip levels, leaf to root order.
-        if (level >= _cfg.treetopLevels) {
-            for (unsigned s = 0; s < _cfg.slotsPerBucket; ++s)
-                _writeCoords.push_back(_addressMap.mapSlot(b, s));
-        }
+        if (level >= _cfg.treetopLevels)
+            _writeCoords.push_back(_addressMap.mapBucket(b));
     }
 }
 

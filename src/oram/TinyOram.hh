@@ -433,8 +433,8 @@ class TinyOram
     /** Recycled payload buffers (see VectorPool) — path reads pull
      *  from here instead of allocating one vector per block. */
     VectorPool _payloadPool;
-    /** Reused DRAM-coordinate scratch (one per direction so a path
-     *  write never clobbers the preceding read's buffer). */
+    /** Reused DRAM-coordinate scratch, one coordinate per off-chip
+     *  bucket (AddressMap::mapBucket), one vector per direction. */
     std::vector<DramCoord> _readCoords;
     std::vector<DramCoord> _writeCoords;
     /** Per-write scratch: which _evictShadows went back into the

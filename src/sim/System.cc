@@ -368,7 +368,7 @@ runSystem(const SystemConfig &cfg,
     // corruption rethrows from the tier-3 loop below.
     obs::FlightRecorder &flight = stack.flight();
     const std::string flightLabel =
-        obs::flightLabel(cfg.obs.label, "sys", configFingerprint(cfg));
+        obs::flightLabel("sys", configFingerprint(cfg));
 
     Cycles interval = cfg.tpInterval;
     if (cfg.timingProtection && interval == 0) {

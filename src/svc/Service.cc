@@ -159,11 +159,8 @@ Scheduler::Scheduler(const ServiceConfig &cfg, OramStack &stack,
                         cfg.arrivals.seed},
                  kExemplarsPerBin, obs::kDefaultLog2Bins),
       _slo(cfg.slo), _flight(stack.flight()),
-      // Keyed on the point alone, never on the observer's artifact
-      // label: the dump is always on and must not move when someone
-      // watches.
-      _flightLabel(obs::flightLabel(std::string(), "svc",
-                                    serviceConfigFingerprint(cfg))),
+      _flightLabel(
+          obs::flightLabel("svc", serviceConfigFingerprint(cfg))),
       _harness(cfg.obs, _total, session, cfg.checkpointInterval,
                cfg.interruptAfterResolved, "service run",
                "resolved requests")

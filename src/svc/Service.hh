@@ -51,13 +51,6 @@
 namespace sboram {
 namespace svc {
 
-/** Why a request was shed (the structured terminal outcome). */
-enum class ShedReason : std::uint8_t
-{
-    AdmissionFull,      ///< Bounded queue was full on arrival.
-    DeadlineExhausted,  ///< Deadline expired with no retries left.
-};
-
 /** Everything needed to run one service experiment point. */
 struct ServiceConfig
 {

@@ -14,7 +14,107 @@ defaultGeo()
     return DramGeometry{};
 }
 
+/**
+ * The sub-tree layout in closed form, one slot at a time: the level
+ * by a loop, the sub-tree sequence base by a loop over the groups
+ * above, and the channel/rank/bank split by division.  The oracle the
+ * per-level table must reproduce.
+ */
+DramCoord
+closedFormSlot(const DramGeometry &geo, unsigned levels, unsigned z,
+               unsigned subtreeLevels, BucketIndex bucket, unsigned slot)
+{
+    unsigned level = 0;
+    while (bucket >= (BucketIndex(2) << level) - 1)
+        ++level;
+    const BucketIndex withinLevel =
+        bucket - ((BucketIndex(1) << level) - 1);
+    const unsigned group = level / subtreeLevels;
+    const unsigned depthInSub = level - group * subtreeLevels;
+    const BucketIndex rootWithinLevel = withinLevel >> depthInSub;
+    std::uint64_t seq = 0;
+    for (unsigned g = 0; g < group; ++g) {
+        const unsigned gl = g * subtreeLevels;
+        if (gl < levels)
+            seq += BucketIndex(1) << gl;
+    }
+    seq += rootWithinLevel;
+    const BucketIndex localWithin =
+        withinLevel - (rootWithinLevel << depthInSub);
+    const std::uint64_t localIndex =
+        ((std::uint64_t(1) << depthInSub) - 1) + localWithin;
+
+    DramCoord c;
+    c.channel = static_cast<unsigned>(seq % geo.channels);
+    std::uint64_t rest = seq / geo.channels;
+    c.rank = static_cast<unsigned>(rest % geo.ranksPerChannel);
+    rest /= geo.ranksPerChannel;
+    c.bank = static_cast<unsigned>(rest % geo.banksPerRank);
+    c.row = rest / geo.banksPerRank;
+    c.column = localIndex * z + slot;
+    return c;
+}
+
+bool
+sameCoord(const DramCoord &a, const DramCoord &b)
+{
+    return a.channel == b.channel && a.rank == b.rank &&
+           a.bank == b.bank && a.row == b.row && a.column == b.column;
+}
+
 } // namespace
+
+TEST(AddressMap, EverySlotMatchesTheClosedForm)
+{
+    struct Case
+    {
+        const char *name;
+        DramGeometry geo;
+        unsigned z;
+        unsigned subtreeLevels;
+    };
+    DramGeometry oneChannel;
+    oneChannel.channels = 1;
+    DramGeometry threeChannels;
+    threeChannels.channels = 3;
+    DramGeometry oneLevelRows;  // A row holds one 4-slot bucket.
+    oneLevelRows.rowBytes = 256;
+    DramGeometry oddBanks;      // 3ch x 1rk x 5bk: no power of two.
+    oddBanks.channels = 3;
+    oddBanks.ranksPerChannel = 1;
+    oddBanks.banksPerRank = 5;
+    oddBanks.rowBytes = 2048;
+    const Case cases[] = {
+        {"default 2ch/2rk/8bk", DramGeometry{}, 5, 4},
+        {"one channel", oneChannel, 5, 4},
+        {"three channels", threeChannels, 4, 5},
+        {"one-level sub-trees", oneLevelRows, 4, 1},
+        {"3ch/1rk/5bk, 2 KB rows", oddBanks, 3, 3},
+    };
+    for (const Case &k : cases) {
+        for (unsigned levels = 1; levels <= 14; ++levels) {
+            const AddressMap map(k.geo, levels, k.z);
+            ASSERT_EQ(map.subtreeLevels(), k.subtreeLevels) << k.name;
+            const BucketIndex buckets = (BucketIndex(1) << levels) - 1;
+            for (BucketIndex b = 0; b < buckets; ++b) {
+                DramCoord bucket = map.mapBucket(b);
+                for (unsigned s = 0; s < k.z; ++s) {
+                    ASSERT_TRUE(sameCoord(
+                        map.mapSlot(b, s),
+                        closedFormSlot(k.geo, levels, k.z,
+                                       k.subtreeLevels, b, s)))
+                        << k.name << ": " << levels << " levels, bucket "
+                        << b << " slot " << s;
+                    // The bucket coordinate is slot 0's; slot s is
+                    // column + s of the same row.
+                    ASSERT_TRUE(sameCoord(bucket, map.mapSlot(b, s)))
+                        << k.name << ": bucket " << b << " slot " << s;
+                    ++bucket.column;
+                }
+            }
+        }
+    }
+}
 
 TEST(AddressMap, LevelOfHeapIndex)
 {
@@ -24,6 +124,8 @@ TEST(AddressMap, LevelOfHeapIndex)
     EXPECT_EQ(AddressMap::levelOf(3), 2u);
     EXPECT_EQ(AddressMap::levelOf(6), 2u);
     EXPECT_EQ(AddressMap::levelOf(7), 3u);
+    EXPECT_EQ(AddressMap::levelOf((BucketIndex(1) << 40) - 2), 39u);
+    EXPECT_EQ(AddressMap::levelOf((BucketIndex(1) << 40) - 1), 40u);
 }
 
 TEST(AddressMap, SubtreeLevelsFitARow)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "ckpt/Serde.hh"
+#include "common/Rng.hh"
 #include "mem/AddressMap.hh"
 #include "mem/DramModel.hh"
 
@@ -154,4 +156,80 @@ TEST(DramModel, StatsAccumulateAndReset)
     EXPECT_EQ(dram.stats().writes, 1u);
     dram.resetStats();
     EXPECT_EQ(dram.stats().reads, 0u);
+}
+
+namespace {
+
+std::vector<std::uint8_t>
+stateBytes(const DramModel &dram)
+{
+    ckpt::Serializer out;
+    dram.saveState(out);
+    return out.buffer();
+}
+
+/**
+ * Drive @p paths random path accesses through two fresh models — one
+ * per-slot (mapSlot + accessBatch), one per-bucket (mapBucket +
+ * accessPath) — in TinyOram's orders (reads root to leaf, writes leaf
+ * to root, treetop levels skipped) and require the same schedule.
+ */
+void
+expectBucketScheduleMatchesSlots(const DramGeometry &g, unsigned leafLevel,
+                                 unsigned z, unsigned treetop,
+                                 std::uint64_t seed)
+{
+    const DramTiming t = DramTiming::ddr3_1333();
+    const AddressMap map(g, leafLevel + 1, z);
+    DramModel perSlot(t, g), perBucket(t, g);
+    Rng rng(seed);
+    std::vector<DramCoord> slots, buckets;
+    Cycles at = 0;
+    for (int i = 0; i < 300; ++i) {
+        const LeafLabel leaf = rng.below(LeafLabel(1) << leafLevel);
+        const bool isWrite = rng.below(3) == 0;
+        const bool xorBus = !isWrite && rng.below(2) == 0;
+        slots.clear();
+        buckets.clear();
+        for (unsigned k = treetop; k <= leafLevel; ++k) {
+            const unsigned level = isWrite ? leafLevel + treetop - k : k;
+            const BucketIndex b = ((BucketIndex(1) << level) - 1) +
+                                  (leaf >> (leafLevel - level));
+            buckets.push_back(map.mapBucket(b));
+            for (unsigned s = 0; s < z; ++s)
+                slots.push_back(map.mapSlot(b, s));
+        }
+        const BatchTiming want =
+            perSlot.accessBatch(at, slots, isWrite, xorBus, z);
+        const BatchTiming &got =
+            perBucket.accessPath(at, buckets, z, isWrite, xorBus);
+        ASSERT_EQ(got.completion, want.completion) << "path " << i;
+        ASSERT_EQ(got.finish, want.finish) << "path " << i;
+        // Back to back, overlapping the previous path, or after a gap.
+        const std::uint64_t pick = rng.below(3);
+        at = pick == 0 ? want.finish
+           : pick == 1 ? at + rng.below(want.finish - at + 1)
+                       : want.finish + rng.below(2000);
+    }
+    const DramStats &a = perSlot.stats(), &b = perBucket.stats();
+    EXPECT_EQ(a.activates, b.activates);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.rowHits, b.rowHits);
+    EXPECT_EQ(a.rowMisses, b.rowMisses);
+    EXPECT_GT(a.rowHits, 0u);
+    EXPECT_GT(a.rowMisses, 0u);
+    EXPECT_EQ(stateBytes(perSlot), stateBytes(perBucket));
+}
+
+} // namespace
+
+TEST(DramModel, BucketScheduleMatchesPerSlotSchedule)
+{
+    expectBucketScheduleMatchesSlots(DramGeometry{}, 18, 5, 0, 1);
+    expectBucketScheduleMatchesSlots(DramGeometry{}, 12, 4, 3, 2);
+    DramGeometry three;
+    three.channels = 3;
+    three.banksPerRank = 5;
+    expectBucketScheduleMatchesSlots(three, 14, 3, 0, 3);
 }

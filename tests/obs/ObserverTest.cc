@@ -405,8 +405,10 @@ TEST(Observer, SystemTraceInstantsAreTheFlightRingProjected)
     EXPECT_GT(m.degradedEntries, 0u);
 
     std::string dump;
+    const std::string label =
+        obs::flightLabel("sys", configFingerprint(cfg));
     for (const auto &kv : obs::flightDumps())
-        if (kv.first.rfind("ladder-", 0) == 0)
+        if (kv.first.rfind(label, 0) == 0)
             dump = kv.second;
     obs::resetFlightStateForTesting();
     const std::vector<Instant> ring = ringInstants(dump);

@@ -412,3 +412,72 @@ TEST(TinyOram, CiphertextImageIsPinned)
     EXPECT_GT(st.faultsDetected, 0u);
     EXPECT_GT(st.quarantineEvacuations, 0u);
 }
+
+namespace {
+
+/**
+ * FNV-1a over a fixed Tiny ORAM run under timing protection (the
+ * request-slot front end of System's OramPort, stall-on-miss): every
+ * path access's finish time — each request's forward and completion
+ * cycle, each dummy's completion — followed by the DRAM counters.
+ * Pins the DRAM schedule path reads and writes produce, which the
+ * metric goldens see only through sums.
+ */
+std::uint64_t
+tpPathTimingHash(const OramConfig &cfg, OramStats *stats)
+{
+    OramStack fx(Scheme::Tiny, cfg);
+    TinyOram &oram = fx.oram();
+    const Cycles path = oram.estimatePathReadLatency();
+    const Cycles interval = path + 2 * path / cfg.evictionRate;
+    WorkloadGenerator gen(specProfile("hmmer"), 99);
+    ckpt::Serializer out;
+    Cycles ready = 0, nextSlot = 0;
+    for (const LlcMissRecord &rec : gen.generate(800)) {
+        const Addr a = rec.addr % cfg.dataBlocks;
+        const Op op = rec.isWrite ? Op::Write : Op::Read;
+        const Cycles issue = ready + rec.computeGap;
+        if (oram.wouldHitStash(a, op)) {
+            ready = oram.access(a, op, issue).forwardAt;
+            continue;
+        }
+        while (nextSlot < issue) {
+            out.u64(oram.dummyAccess(nextSlot));
+            nextSlot += interval;
+        }
+        const AccessResult r = oram.access(a, op, nextSlot);
+        nextSlot += interval;
+        out.u64(r.forwardAt);
+        out.u64(r.completeAt);
+        ready = r.forwardAt;
+    }
+    *stats = oram.stats();
+    const DramStats &d = fx.dram().stats();
+    for (std::uint64_t v :
+         {d.activates, d.reads, d.writes, d.rowHits, d.rowMisses})
+        out.u64(v);
+    return ckpt::fnv1a(out.buffer().data(), out.buffer().size());
+}
+
+} // namespace
+
+TEST(TinyOram, TpPathTimingIsPinned)
+{
+    OramConfig cfg;
+    cfg.dataBlocks = 1 << 14;
+    cfg.posMapMode = PosMapMode::Recursive;
+    cfg.onChipPosMapEntries = 1 << 10;
+    cfg.seed = 5;
+    OramStats st;
+    EXPECT_EQ(tpPathTimingHash(cfg, &st), 0x46f1a6af7bb6bfd0ULL);
+    EXPECT_GT(st.dummyAccesses, 0u);
+    EXPECT_GT(st.posMapAccesses, 0u);
+    EXPECT_GT(st.pathWrites, 0u);
+
+    // Treetop caching and XOR bus compression: shorter off-chip
+    // paths and the 1/Z read burst.
+    cfg.treetopLevels = 3;
+    cfg.xorCompression = true;
+    EXPECT_EQ(tpPathTimingHash(cfg, &st), 0xbce398f4d547d2e3ULL);
+    EXPECT_GT(st.dummyAccesses, 0u);
+}

@@ -20,7 +20,11 @@
 #   5. the forced-panic drill (SB_CHAOS_FORCE_PANIC=1 chaos_storm)
 #      must exit 2 with a panic-diag line carrying the service
 #      forensics fields, a panic-flight line, and a flightrec
-#      artifact containing the "panic" dump — validated by obs_check.
+#      artifact containing the "panic" dump — validated by obs_check,
+#   6. the chaos points are observable too: an observed quick
+#      chaos_storm must write trace and metrics files and leave its
+#      stdout, BENCH_resilience.json and flight dumps as an
+#      unobserved one writes them.
 set -eu
 
 STORM=${1:?usage: attribution_smoke.sh <service_storm> <chaos_storm> <obs_check>}
@@ -30,7 +34,10 @@ WORK1=$(mktemp -d /tmp/sbattr-smoke-1-XXXXXX)
 WORK8=$(mktemp -d /tmp/sbattr-smoke-8-XXXXXX)
 WORKU=$(mktemp -d /tmp/sbattr-smoke-u-XXXXXX)
 WORKP=$(mktemp -d /tmp/sbattr-smoke-p-XXXXXX)
-trap 'rm -rf "$WORK1" "$WORK8" "$WORKU" "$WORKP"' EXIT INT TERM
+WORKC=$(mktemp -d /tmp/sbattr-smoke-c-XXXXXX)
+WORKO=$(mktemp -d /tmp/sbattr-smoke-o-XXXXXX)
+trap 'rm -rf "$WORK1" "$WORK8" "$WORKU" "$WORKP" "$WORKC" "$WORKO"' \
+    EXIT INT TERM
 
 fail()
 {
@@ -113,5 +120,26 @@ grep -q '"kind": "corruption"' "$FRP" ||
 "$CHECK" "$FRP" >/dev/null ||
     fail "obs_check rejected the crash-path flight artifact"
 
+# --- 6. the chaos points are observable ------------------------------
+(cd "$WORKC" && SB_BENCH_QUICK=1 "$CHAOS" >out.txt 2>err.txt) ||
+    fail "unobserved chaos_storm failed (see stderr):
+$(tail -5 "$WORKC/err.txt")"
+(cd "$WORKO" && SB_OBS_TRACE=1 SB_OBS_METRICS=1 SB_BENCH_QUICK=1 \
+    "$CHAOS" >out.txt 2>err.txt) ||
+    fail "observed chaos_storm failed (see stderr):
+$(tail -5 "$WORKO/err.txt")"
+ls "$WORKO"/trace-*.json >/dev/null 2>&1 ||
+    fail "observed chaos_storm wrote no trace-*.json"
+ls "$WORKO"/metrics-*.jsonl >/dev/null 2>&1 ||
+    fail "observed chaos_storm wrote no metrics-*.jsonl"
+cmp -s "$WORKC/out.txt" "$WORKO/out.txt" ||
+    fail "chaos_storm stdout differs between observed and unobserved runs"
+cmp -s "$WORKC/BENCH_resilience.json" "$WORKO/BENCH_resilience.json" ||
+    fail "BENCH_resilience.json differs between observed and unobserved runs"
+cmp -s "$WORKC/flightrec-chaos_storm.json" \
+    "$WORKO/flightrec-chaos_storm.json" ||
+    fail "chaos_storm flight dumps differ between observed and unobserved runs"
+
 echo "attribution_smoke: OK (attribution balanced, artifacts" \
-    "byte-identical at 1 and 8 threads, panic path dumps the ring)"
+    "byte-identical at 1 and 8 threads, panic path dumps the ring," \
+    "chaos points observable)"
