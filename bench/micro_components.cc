@@ -100,12 +100,14 @@ BM_StashEligibleScan(benchmark::State &state)
         e.type = i % 3 ? BlockType::Real : BlockType::Shadow;
         stash.insert(std::move(e));
     }
+    // What TinyOram::placeGreedy runs once per eviction: the
+    // reals-only plan, rebuilt into storage kept across evictions.
+    Stash::EvictionPlan plan;
     for (auto _ : state) {
-        auto v = stash.eligibleForLevel(
-            4, [](LeafLabel leaf) {
-                return static_cast<unsigned>(leaf % 19);
-            });
-        benchmark::DoNotOptimize(v.size());
+        stash.planEvictionInto(plan, [](LeafLabel leaf) {
+            return static_cast<unsigned>(leaf % 19);
+        });
+        benchmark::DoNotOptimize(plan);
     }
 }
 BENCHMARK(BM_StashEligibleScan);
@@ -179,8 +181,10 @@ BM_StashDisplaceAtCapacity(benchmark::State &state)
 {
     // A full 200-entry stash of shadows ranked by a live Hot Address
     // Cache: every insert displaces the coldest shadow.  range(0)
-    // inserts share one LLC miss (one hotness invalidation), so the
-    // two arguments bracket the re-key cost against the heap cost.
+    // inserts share one LLC miss, after which the addresses it moved
+    // (touched and LFU-evicted) are re-keyed as TinyOram::access does,
+    // so the two arguments bracket the re-key cost against the heap
+    // cost.
     const unsigned capacity = 200;
     const auto insertsPerMiss = static_cast<int>(state.range(0));
     ShadowPolicy policy(ShadowConfig{}, 15);
@@ -198,7 +202,8 @@ BM_StashDisplaceAtCapacity(benchmark::State &state)
         insertShadow();
     for (auto _ : state) {
         policy.onLlcMiss(next - rng.below(capacity));
-        stash.invalidateHotness();
+        for (const Addr a : *policy.hotnessMoved())
+            stash.rekey(a);
         for (int i = 0; i < insertsPerMiss; ++i)
             insertShadow();
         benchmark::DoNotOptimize(stash.size());

@@ -20,6 +20,7 @@
 #ifndef SBORAM_ORAM_DUPLICATIONPOLICY_HH
 #define SBORAM_ORAM_DUPLICATIONPOLICY_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -34,7 +35,6 @@ struct PlacedBlock
     LeafLabel leaf = 0;
     std::uint32_t version = 0;
     unsigned level = 0;   ///< Tree level it was written to.
-    bool wasShadow = false;
 };
 
 /** Candidate chosen for duplication into a dummy slot. */
@@ -61,7 +61,8 @@ class DuplicationPolicy
     /** A new path write begins (eviction to @p leaf). */
     virtual void beginPathWrite(LeafLabel leaf) { (void)leaf; }
 
-    /** A real or shadow block was just written at @p placed.level. */
+    /** A real block was just placed at @p placed.level by the greedy
+     *  pass (stash shadows re-enter the tree only as duplicates). */
     virtual void onBlockPlaced(const PlacedBlock &placed)
     {
         (void)placed;
@@ -117,16 +118,33 @@ class DuplicationPolicy
      *
      * Contract: the value for any address may change only across
      * onLlcMiss() or a state restore.  The stash caches these values
-     * per entry and re-reads them only after the controller tells it
-     * one of those happened (Stash::invalidateHotness), so an
-     * implementation that drifts at other times would pick stale
-     * victims.
+     * per entry and re-reads them only when the controller tells it
+     * one of those happened, so an implementation that drifts at
+     * other times would pick stale victims.  After each onLlcMiss,
+     * TinyOram::access re-keys (Stash::rekey) the addresses
+     * hotnessMoved() reports, or, when it reports "unknown", marks
+     * every cached value stale (Stash::invalidateHotness); a restore
+     * marks them stale too (Stash::loadState).
      */
     virtual std::uint32_t
     hotnessOf(Addr addr) const
     {
         (void)addr;
         return 0;
+    }
+
+    /**
+     * The addresses whose hotnessOf() value the latest onLlcMiss()
+     * may have moved (unused places hold kInvalidAddr), or nullopt
+     * for "unknown".  Answered only right after onLlcMiss.  The
+     * default is "unknown", which costs a re-read of every stash
+     * shadow's hotness, so a decorator that does not forward this
+     * keeps exact behaviour, only slower.
+     */
+    virtual std::optional<std::array<Addr, 2>>
+    hotnessMoved() const
+    {
+        return std::nullopt;
     }
 };
 

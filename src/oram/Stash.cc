@@ -58,10 +58,10 @@ Stash::indexEntry(StashEntry *entry)
         // Past half full (real overflow beyond the capacity):
         // double the table and re-index every live entry.
         resetIndex(65 - _indexShift);
-        for (StashEntry *e = _head; e; e = e->next) {
-            if (e != entry)
-                _index[probe(e->addr)] = IndexCell{e->addr, e};
-        }
+        mergeBySeq(_reals.head, _shadowList.head, [&](StashEntry &e) {
+            if (&e != entry)
+                _index[probe(e.addr)] = IndexCell{e.addr, &e};
+        });
     }
     _index[probe(entry->addr)] = IndexCell{entry->addr, entry};
     ++_live;
@@ -126,26 +126,28 @@ Stash::siftDown(std::uint32_t idx)
 void
 Stash::link(StashEntry *entry)
 {
-    entry->prev = _tail;
+    SeqList &list = listOf(entry);
+    entry->prev = list.tail;
     entry->next = nullptr;
-    if (_tail)
-        _tail->next = entry;
+    if (list.tail)
+        list.tail->next = entry;
     else
-        _head = entry;
-    _tail = entry;
+        list.head = entry;
+    list.tail = entry;
 }
 
 void
 Stash::unlink(StashEntry *entry)
 {
+    SeqList &list = listOf(entry);
     if (entry->prev)
         entry->prev->next = entry->next;
     else
-        _head = entry->next;
+        list.head = entry->next;
     if (entry->next)
         entry->next->prev = entry->prev;
     else
-        _tail = entry->prev;
+        list.tail = entry->prev;
 }
 
 void
@@ -202,6 +204,21 @@ Stash::refreshKeys()
         }
     }
     _keysFresh = true;
+}
+
+void
+Stash::rekey(Addr addr)
+{
+    if (!_keysFresh || !_hotness)
+        return;
+    StashEntry *entry = find(addr);
+    if (entry == nullptr || !entry->isShadow())
+        return;
+    const std::uint32_t hot = _hotness->hotnessOf(addr);
+    if (hot != entry->hotness) {
+        entry->hotness = hot;
+        resift(entry->shadowIdx);
+    }
 }
 
 void
@@ -275,7 +292,7 @@ Stash::insert(StashEntry entry)
     unlink(&existing);
     recyclePayload(existing);
     existing = std::move(entry);
-    link(&existing);  // It took the newest seq.
+    link(&existing);  // Onto the real list: it took the newest seq.
     ++_realCount;
     trackOccupancy();
     return true;
@@ -338,20 +355,20 @@ Stash::saveState(ckpt::Serializer &out) const
     out.u64(_stats.overflowEvents);
     out.u64(_stats.mergesRealWins);
     out.u64(_stats.mergesShadowDup);
-    // Serialize in seq order (the entry list's order), not slab or
+    // Serialize in seq order (the class lists merged), not slab or
     // index order: those depend on the history of inserts and
     // removals, and a snapshot must be byte-identical for identical
     // stash contents (generation diffing, resume bit-equality
     // tests).
     out.u64(_live);
-    for (const StashEntry *e = _head; e; e = e->next) {
-        out.u64(e->addr);
-        out.u64(e->leaf);
-        out.u32(e->version);
-        out.u8(static_cast<std::uint8_t>(e->type));
-        out.u64(e->seq);
-        out.vecU64(e->payload);
-    }
+    forEach([&](const StashEntry &e) {
+        out.u64(e.addr);
+        out.u64(e.leaf);
+        out.u32(e.version);
+        out.u8(static_cast<std::uint8_t>(e.type));
+        out.u64(e.seq);
+        out.vecU64(e.payload);
+    });
 }
 
 void
@@ -368,10 +385,12 @@ Stash::loadState(ckpt::Deserializer &in)
     std::fill(_index.begin(), _index.end(), IndexCell{});
     _live = 0;
     _shadows.clear();
-    _head = _tail = nullptr;
+    _reals = SeqList{};
+    _shadowList = SeqList{};
     _keysFresh = false;
     const std::uint64_t count = in.u64();
     std::uint64_t reals = 0;
+    std::uint64_t lastSeq = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         StashEntry e;
         e.addr = in.u64();
@@ -380,8 +399,9 @@ Stash::loadState(ckpt::Deserializer &in)
         e.type = static_cast<BlockType>(in.u8());
         e.seq = in.u64();
         e.payload = in.vecU64();
-        if (_tail && e.seq <= _tail->seq)
+        if (i > 0 && e.seq <= lastSeq)
             throw CkptMismatchError("stash entries out of seq order");
+        lastSeq = e.seq;
         if (e.addr == kInvalidAddr)
             throw CkptMismatchError("stash entry without an address");
         if (find(e.addr) != nullptr)

@@ -17,7 +17,9 @@
  * Storage mirrors that CAM: entries live in a pointer-stable slab
  * whose vacated cells are reused, and a power-of-two open-addressed
  * addr -> entry index, sized from the capacity, plays the content
- * match.  Neither allocates in steady state.
+ * match.  Neither allocates in steady state.  Reals and shadows sit
+ * on separate seq-ordered lists, so eviction planning walks only the
+ * few reals and the shadow offers only the shadows.
  */
 
 #ifndef SBORAM_ORAM_STASH_HH
@@ -53,8 +55,9 @@ struct StashEntry
     /** Position in the stash's shadow heap while this entry is a
      *  stash-resident shadow; transient bookkeeping, not serialized. */
     std::uint32_t shadowIdx = 0;
-    /** Neighbours in the stash's seq-ordered entry list; transient
-     *  bookkeeping, not serialized. */
+    /** Neighbours in the stash's seq-ordered list of this entry's
+     *  class (real or shadow); transient bookkeeping, not
+     *  serialized. */
     StashEntry *prev = nullptr;
     StashEntry *next = nullptr;
     SB_SECRET std::vector<std::uint64_t> payload;
@@ -122,17 +125,18 @@ class Stash
      *
      * Reference implementation: one rescan + sort per call.  The
      * eviction hot path uses planEviction() instead, which computes
-     * the same ordering once per eviction; tests check the two agree.
+     * the real prefix of this ordering once per eviction; tests check
+     * the two agree.
      */
     template <typename CommonLevelFn>
     std::vector<Addr>
     eligibleForLevel(unsigned level, CommonLevelFn &&commonLevelFn) const
     {
         std::vector<const StashEntry *> picked;
-        for (const StashEntry *e = _head; e; e = e->next) {
-            if (commonLevelFn(e->leaf) >= level)
-                picked.push_back(e);
-        }
+        forEach([&](const StashEntry &e) {
+            if (commonLevelFn(e.leaf) >= level)
+                picked.push_back(&e);
+        });
         std::sort(picked.begin(), picked.end(),
                   [](const StashEntry *a, const StashEntry *b) {
                       const bool as = a->isShadow();
@@ -148,27 +152,27 @@ class Stash
         return addrs;
     }
 
-    /** One stash entry's slice of an EvictionPlan. */
+    /** One real stash entry's slice of an EvictionPlan. */
     struct PlanEntry
     {
         Addr addr = kInvalidAddr;
         unsigned commonLevel = 0;  ///< Deepest level on the path.
-        bool shadow = false;
         bool placed = false;  ///< Consumed by a placement already.
-        std::uint64_t seq = 0;
     };
 
     /**
-     * Per-eviction placement plan (see planEviction): every entry's
-     * common-prefix level with the eviction path, grouped up front
-     * and held in the canonical placement order (reals first, then
-     * shadows, insertion order within each class).  A path write
-     * walks the levels leaf-to-root, asking for the eligible entries
-     * of each level; entries it places are marked consumed so they
-     * stop appearing at shallower levels — exactly the behaviour of
-     * re-running eligibleForLevel() against the shrinking stash, at
-     * one walk of the seq-ordered entry list per eviction instead of
-     * a rescan + sort per level.
+     * Per-eviction placement plan (see planEviction): every real
+     * entry's common-prefix level with the eviction path, held in
+     * insertion order.  Only reals are planned: greedy eviction
+     * places real blocks only (stash shadows re-enter the tree
+     * through the shadow-fill pass), and reals lead the canonical
+     * order, so the plan is the real prefix of eligibleForLevel().
+     * A path write walks the levels leaf-to-root, asking for the
+     * eligible entries of each level; entries it places are marked
+     * consumed so they stop appearing at shallower levels — exactly
+     * the behaviour of re-running eligibleForLevel() against the
+     * shrinking stash, at one walk of the real list per eviction
+     * instead of a rescan + sort per level.
      *
      * Valid only while no entries are *added* to the stash (path
      * write pass 1 only removes).
@@ -213,8 +217,8 @@ class Stash
 
     /**
      * Build the placement plan for one eviction: a single pass over
-     * the stash's seq-ordered entry list per class computes each
-     * entry's common-prefix level with the eviction path, already in
+     * the stash's seq-ordered real list computes each real entry's
+     * common-prefix level with the eviction path, already in
      * canonical order.  @p commonLevelFn maps a block leaf to the
      * common prefix length with the eviction leaf.
      */
@@ -240,28 +244,19 @@ class Stash
                      CommonLevelFn &&commonLevelFn) const
     {
         plan._order.clear();
-        plan._order.reserve(_live);
-        for (const bool shadows : {false, true}) {
-            for (const StashEntry *e = _head; e; e = e->next) {
-                if (e->isShadow() != shadows)
-                    continue;
-                PlanEntry pe;
-                pe.addr = e->addr;
-                pe.commonLevel = commonLevelFn(e->leaf);
-                pe.shadow = shadows;
-                pe.seq = e->seq;
-                plan._order.push_back(pe);
-            }
-        }
+        for (const StashEntry *e = _reals.head; e; e = e->next)
+            plan._order.push_back(
+                PlanEntry{e->addr, commonLevelFn(e->leaf), false});
     }
 
-    /** Visit every entry in insertion (seq) order. */
+    /** Visit every entry in insertion (seq) order: the two class
+     *  lists merged. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const StashEntry *e = _head; e; e = e->next)
-            fn(*e);
+        mergeBySeq(_reals.head, _shadowList.head,
+                   [&](const StashEntry &e) { fn(e); });
     }
 
     /** Visit every shadow entry in insertion (seq) order. */
@@ -269,10 +264,8 @@ class Stash
     void
     forEachShadow(Fn &&fn) const
     {
-        for (const StashEntry *e = _head; e; e = e->next) {
-            if (e->isShadow())
-                fn(*e);
-        }
+        for (const StashEntry *e = _shadowList.head; e; e = e->next)
+            fn(*e);
     }
 
     /**
@@ -283,13 +276,14 @@ class Stash
      * oldest-first.  Not owned; must outlive the stash.
      *
      * Each shadow's hotness is cached in its entry, so the oracle is
-     * read at most once per shadow insert plus once per shadow after
-     * each invalidation, not once per shadow per displacement.  The
-     * cache relies on the hotnessOf contract: a
-     * value changes only across DuplicationPolicy::onLlcMiss or a
-     * state restore.  Whoever drives those must call
-     * invalidateHotness() afterwards (TinyOram::access does; so does
-     * loadState).
+     * read at most once per shadow insert, once per re-keyed address
+     * and once per shadow after each invalidation, not once per
+     * shadow per displacement.  The cache relies on the hotnessOf
+     * contract: a value changes only across
+     * DuplicationPolicy::onLlcMiss or a state restore.  Whoever
+     * drives those must afterwards call rekey() for each address
+     * whose value moved, or invalidateHotness() when that set is
+     * unknown (TinyOram::access does; loadState invalidates).
      */
     void
     setHotnessOracle(const DuplicationPolicy *policy)
@@ -304,6 +298,14 @@ class Stash
      * whose value moved.  Until then inserts skip the oracle.
      */
     void invalidateHotness() { _keysFresh = false; }
+
+    /**
+     * The oracle's value for @p addr alone may have changed: re-read
+     * it now if a shadow of @p addr is resident and re-sift that
+     * entry.  A no-op while the keys are stale (the pending full
+     * refresh re-reads every shadow anyway) and for kInvalidAddr.
+     */
+    void rekey(Addr addr);
 
     /**
      * Install the pool that receives payload buffers of entries the
@@ -370,6 +372,37 @@ class Stash
     /** Size the index to 2^bits empty cells. */
     void resetIndex(unsigned bits);
 
+    /** A seq-ordered intrusive list of one entry class. */
+    struct SeqList
+    {
+        StashEntry *head = nullptr;
+        StashEntry *tail = nullptr;
+    };
+
+    /** The list of @p entry's class (real or shadow). */
+    SeqList &
+    listOf(const StashEntry *entry)
+    {
+        return entry->isShadow() ? _shadowList : _reals;
+    }
+
+    /** Visit the entries of two seq-ordered lists merged by seq
+     *  (unique, so the merge is exact). */
+    template <typename Fn>
+    static void
+    mergeBySeq(StashEntry *r, StashEntry *s, Fn &&fn)
+    {
+        while (r || s) {
+            if (!s || (r && r->seq < s->seq)) {
+                fn(*r);
+                r = r->next;
+            } else {
+                fn(*s);
+                s = s->next;
+            }
+        }
+    }
+
     void link(StashEntry *entry);
     void unlink(StashEntry *entry);
     void addShadow(StashEntry *entry);
@@ -402,14 +435,16 @@ class Stash
     std::vector<IndexCell> _index;
     unsigned _indexShift = 64;
     /**
-     * Every entry, by pointer, in a doubly linked list ordered by
-     * seq: an entry is
-     * linked at the tail exactly when it takes the next seq, so the
-     * canonical orders the eviction plan, the shadow offers and the
-     * snapshot need come from a walk instead of a sort.
+     * Every entry, by pointer, in one of two doubly linked lists
+     * ordered by seq, one per class: an entry is linked at its
+     * list's tail exactly when it takes the next seq, and moves
+     * lists only when a real replaces a shadow (taking the newest
+     * seq).  The eviction plan walks the reals, the shadow offers
+     * the shadows, and the snapshot a seq merge of the two, so every
+     * canonical order comes from a walk instead of a sort.
      */
-    StashEntry *_head = nullptr;
-    StashEntry *_tail = nullptr;
+    SeqList _reals;
+    SeqList _shadowList;
     /**
      * Every shadow entry, by pointer, as an indexed binary min-heap
      * on the cached

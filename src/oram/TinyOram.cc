@@ -360,9 +360,11 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
     _tree.bucketsOnPath(leaf, _pathBuckets);
     // The path is public, so prefetching it leaks nothing: start
     // loading every bucket's slot metadata while the DRAM schedule is
-    // computed.
-    for (unsigned level = 0; level <= _geo.leafLevel; ++level)
-        __builtin_prefetch(&_tree.slot(_pathBuckets[level], 0));
+    // computed.  A dummy read never walks the slots.
+    if (mode != ReadMode::Dummy) {
+        for (unsigned level = 0; level <= _geo.leafLevel; ++level)
+            __builtin_prefetch(&_tree.slot(_pathBuckets[level], 0));
+    }
     _readCoords.clear();
     for (unsigned level = ttl; level <= _geo.leafLevel; ++level)
         _readCoords.push_back(_addressMap.mapBucket(_pathBuckets[level]));
@@ -385,7 +387,12 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                     out.finish - _cfg.aesLatency, _cfg.aesLatency);
     }
 
-    if (_cfg.payloadEnabled && mode != ReadMode::Dummy)
+    // A dummy read takes nothing and forwards nothing: its DRAM
+    // timing is all it has.
+    if (mode == ReadMode::Dummy)
+        return out;
+
+    if (_cfg.payloadEnabled)
         verifyTakenSlots(mode, wantAddr);
 
     std::size_t dramIdx = 0;
@@ -417,8 +424,6 @@ TinyOram::pathRead(LeafLabel leaf, ReadMode mode, Addr wantAddr,
                 }
             }
 
-            // A Dummy read discards the contents: the tree stays
-            // untouched.
             const Take take = takeOf(slot, mode, wantAddr);
             if (take != Take::Leave)
                 takeSlot(slot, b, s, level, leaf, mode,
@@ -741,16 +746,13 @@ TinyOram::placeGreedy(LeafLabel leaf)
         // stash and leak fault state through the stash-hit pattern
         // (see FaultObliviousnessTest).
         unsigned slotCursor = 0;
+        // The plan holds reals only: stash shadows are not placed
+        // greedily (that would sink them right back next to their
+        // real copy); they re-enter the tree through the shadow-fill
+        // pass, which puts them where they help.
         plan.forEachEligible(level, [&](Stash::PlanEntry &cand) {
             if (slotCursor >= _cfg.slotsPerBucket)
                 return false;
-            if (cand.shadow) {
-                // Stash shadows are not placed greedily (that would
-                // sink them right back next to their real copy);
-                // they re-enter the tree through the shadow-fill
-                // pass, which puts them where they help.
-                return true;
-            }
             StashEntry *entry = _stash.find(cand.addr);
             SB_ASSERT(entry != nullptr, "eligible entry vanished");
 
@@ -781,7 +783,6 @@ TinyOram::placeGreedy(LeafLabel leaf)
             placed.leaf = entry->leaf;
             placed.version = entry->version;
             placed.level = level;
-            placed.wasShadow = entry->isShadow();
             _policy->onBlockPlaced(placed);
 
             _stash.remove(cand.addr);
@@ -1114,8 +1115,14 @@ TinyOram::access(Addr addr, Op op, Cycles issueTime,
     ++_stats.requests;
     _policy->onLlcMiss(addr);
     // The only place hotness counters move (the hotnessOf contract):
-    // the stash's cached displacement keys are now stale.
-    _stash.invalidateHotness();
+    // re-key the stash shadows whose value moved, or mark every
+    // cached displacement key stale when the policy cannot say.
+    if (const auto moved = _policy->hotnessMoved()) {
+        for (const Addr a : *moved)
+            _stash.rekey(a);
+    } else {
+        _stash.invalidateHotness();
+    }
 
     // Step-1: probe the stash.
     StashEntry *hit = _stash.find(addr);

@@ -14,7 +14,7 @@ HotAddressCache::HotAddressCache(unsigned entries,
     _ways.resize(static_cast<std::size_t>(_numSets) * _assoc);
 }
 
-void
+Addr
 HotAddressCache::touch(Addr addr)
 {
     const unsigned set = static_cast<unsigned>(addr & _setMask);
@@ -23,7 +23,7 @@ HotAddressCache::touch(Addr addr)
         if (base[w].valid && base[w].tag == addr) {
             ++base[w].counter;
             ++_hits;
-            return;
+            return kInvalidAddr;
         }
     }
     ++_misses;
@@ -37,9 +37,11 @@ HotAddressCache::touch(Addr addr)
         if (base[w].counter < victim->counter)
             victim = &base[w];
     }
+    const Addr evicted = victim->valid ? victim->tag : kInvalidAddr;
     victim->valid = true;
     victim->tag = addr;
     victim->counter = 1;
+    return evicted;
 }
 
 } // namespace sboram

@@ -26,8 +26,12 @@ class HotAddressCache
     explicit HotAddressCache(unsigned entries = 128,
                              unsigned associativity = 4);
 
-    /** Record an LLC miss: bump the counter, inserting if needed. */
-    void touch(Addr addr);
+    /**
+     * Record an LLC miss: bump the counter, inserting if needed.
+     * Returns the tag the LFU replacement evicted to make room (its
+     * count drops to 0), or kInvalidAddr when none was.
+     */
+    Addr touch(Addr addr);
 
     /**
      * Access count for @p addr; 0 when not cached.  Defined inline —

@@ -124,7 +124,8 @@ ShadowPolicy::endPathWrite()
 void
 ShadowPolicy::onLlcMiss(Addr addr)
 {
-    _hot.touch(addr);
+    const Addr evicted = _hot.touch(addr);
+    _lastMoved = std::array<Addr, 2>{addr, evicted};
 }
 
 void

@@ -11,6 +11,7 @@
 #ifndef SBORAM_SHADOW_SHADOWPOLICY_HH
 #define SBORAM_SHADOW_SHADOWPOLICY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -80,6 +81,13 @@ class ShadowPolicy : public DuplicationPolicy
         return _hot.count(addr);
     }
 
+    /** The touched address and the tag its LFU insert evicted. */
+    std::optional<std::array<Addr, 2>>
+    hotnessMoved() const override
+    {
+        return _lastMoved;
+    }
+
     const ShadowPolicyStats &stats() const { return _stats; }
 
     /** Current DRI counter value (obs time-series gauge). */
@@ -113,6 +121,7 @@ class ShadowPolicy : public DuplicationPolicy
         _stats.partitionAdjustments = in.u64();
         _hot.loadState(in);
         _partition.loadState(in);
+        _lastMoved.reset();
     }
 
   private:
@@ -125,6 +134,9 @@ class ShadowPolicy : public DuplicationPolicy
     DupQueue _rdQueue;
     DupQueue _hdQueue;
     std::uint64_t _candidateSeq = 0;
+    /** What the latest onLlcMiss moved; unknown until the first one
+     *  (and after a restore).  Transient, not serialized. */
+    std::optional<std::array<Addr, 2>> _lastMoved;
     ShadowPolicyStats _stats;
 };
 

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/Rng.hh"
 #include "oram/Stash.hh"
@@ -203,12 +206,28 @@ fillRandom(Stash &stash, Rng &rng, unsigned count, unsigned leafLevel)
     }
 }
 
+/** The reals-first reference order cut to its real prefix: the
+ *  plan holds reals only, since greedy eviction places no shadow.
+ *  Everything after the prefix must be a shadow. */
+std::vector<Addr>
+realPrefix(const Stash &stash, std::vector<Addr> addrs)
+{
+    std::size_t n = 0;
+    while (n < addrs.size() && !stash.find(addrs[n])->isShadow())
+        ++n;
+    for (std::size_t i = n; i < addrs.size(); ++i)
+        EXPECT_TRUE(stash.find(addrs[i])->isShadow()) << "reals first";
+    addrs.resize(n);
+    return addrs;
+}
+
 } // namespace
 
 TEST(Stash, PlanEvictionMatchesReferenceAtEveryLevel)
 {
-    // The one-pass plan must report exactly the per-level eligible
-    // sequences the reference rescan produces, for random contents.
+    // The one-pass plan must report exactly the real prefix of the
+    // per-level eligible sequences the reference rescan produces,
+    // for random contents.
     const unsigned leafLevel = 6;
     Rng rng(2024);
     for (int round = 0; round < 50; ++round) {
@@ -225,17 +244,18 @@ TEST(Stash, PlanEvictionMatchesReferenceAtEveryLevel)
             SCOPED_TRACE("round " + std::to_string(round) +
                          " level " + std::to_string(level));
             EXPECT_EQ(plan.eligibleForLevel(level),
-                      stash.eligibleForLevel(level, fn));
+                      realPrefix(stash,
+                                 stash.eligibleForLevel(level, fn)));
         }
     }
 }
 
 TEST(Stash, PlanEvictionConsumptionMatchesShrinkingStash)
 {
-    // A path write walks leaf -> root placing up to Z entries per
+    // A path write walks leaf -> root placing up to Z reals per
     // bucket and removing them from the stash.  The plan's placed
-    // flags must reproduce re-running the reference against the
-    // shrinking stash.
+    // flags must reproduce re-running the reference (its real
+    // prefix) against the shrinking stash.
     const unsigned leafLevel = 5;
     const unsigned Z = 3;
     Rng rng(777);
@@ -251,9 +271,11 @@ TEST(Stash, PlanEvictionConsumptionMatchesShrinkingStash)
         Stash::EvictionPlan plan = stash.planEviction(fn);
         for (int level = static_cast<int>(leafLevel); level >= 0;
              --level) {
-            // Reference: first Z of a fresh rescan of the live stash.
-            std::vector<Addr> want = stash.eligibleForLevel(
-                static_cast<unsigned>(level), fn);
+            // Reference: first Z reals of a fresh rescan of the live
+            // stash.
+            std::vector<Addr> want = realPrefix(
+                stash,
+                stash.eligibleForLevel(static_cast<unsigned>(level), fn));
             if (want.size() > Z)
                 want.resize(Z);
 
@@ -279,8 +301,9 @@ TEST(Stash, PlanEvictionConsumptionMatchesShrinkingStash)
 
 namespace {
 
-/** Mutable hotness oracle; the test calls invalidateHotness() after
- *  every change, as the controller does after onLlcMiss. */
+/** Mutable hotness oracle; the tests call invalidateHotness() or
+ *  rekey() after every change, as the controller does after
+ *  onLlcMiss. */
 class FakeHotness : public DuplicationPolicy
 {
   public:
@@ -391,16 +414,19 @@ loadBytes(Stash &stash, const std::vector<std::uint8_t> &bytes)
     stash.loadState(in);
 }
 
-} // namespace
+/** How a random walk tells the stash that one oracle value moved. */
+enum class KeyUpdate { Invalidate, Rekey };
 
-TEST(Stash, DisplacementMatchesScanMinReference)
+/**
+ * Random insert / remove / dropShadowOf / real-replaces-shadow /
+ * save-restore sequences against a mutable hotness oracle with few
+ * distinct values (many ties broken by seq).  After every operation
+ * the stash must hold exactly what the linear-scan reference holds,
+ * so every displacement victim is the full (hotness, seq) scan-min.
+ */
+void
+checkDisplacementAgainstScanMin(KeyUpdate update)
 {
-    // Random insert / remove / dropShadowOf / real-replaces-shadow /
-    // save-restore sequences against a mutable hotness oracle with
-    // few distinct values (many ties broken by seq).  After every
-    // operation the stash must hold exactly what the linear-scan
-    // reference holds, so every displacement victim is the full
-    // (hotness, seq) scan-min.
     const unsigned capacity = 16;
     const Addr addrs = 64;
     for (std::uint64_t seed : {1u, 2u, 3u}) {
@@ -443,7 +469,10 @@ TEST(Stash, DisplacementMatchesScanMinReference)
             } else if (op < 90) {
                 oracle.hot[addr] =
                     static_cast<std::uint32_t>(rng.below(4));
-                stash->invalidateHotness();
+                if (update == KeyUpdate::Rekey)
+                    stash->rekey(addr);
+                else
+                    stash->invalidateHotness();
             } else if (op < 94) {
                 snap = saveBytes(*stash);
                 refSnap = ref;
@@ -465,6 +494,130 @@ TEST(Stash, DisplacementMatchesScanMinReference)
             ASSERT_EQ(stash->inserts(), ref.nextSeq);
         }
         EXPECT_GT(displacements, 500u);
+    }
+}
+
+} // namespace
+
+TEST(Stash, DisplacementMatchesScanMinReference)
+{
+    // Each oracle change marks every cached key stale.
+    checkDisplacementAgainstScanMin(KeyUpdate::Invalidate);
+}
+
+TEST(Stash, DisplacementMatchesScanMinReferenceWithRekey)
+{
+    // Each oracle change re-keys only the address it moved, as the
+    // controller does after an LLC miss; a restore still marks every
+    // key stale, and rekey must leave that pending refresh alone.
+    checkDisplacementAgainstScanMin(KeyUpdate::Rekey);
+}
+
+namespace {
+
+/** The seq of every entry a snapshot lists, in snapshot order. */
+std::vector<std::uint64_t>
+snapshotSeqs(const std::vector<std::uint8_t> &bytes)
+{
+    ckpt::Deserializer in(bytes.data(), bytes.size());
+    in.skip(6 * 8);  // next seq, real count, stats
+    std::vector<std::uint64_t> seqs(in.u64());
+    for (std::uint64_t &seq : seqs) {
+        in.skip(8 + 8 + 4 + 1);  // addr, leaf, version, type
+        seq = in.u64();
+        EXPECT_TRUE(in.vecU64().empty());  // No payloads here.
+    }
+    EXPECT_TRUE(in.atEnd());
+    return seqs;
+}
+
+bool
+strictlyIncreasing(const std::vector<std::uint64_t> &v)
+{
+    return std::adjacent_find(v.begin(), v.end(),
+                              std::greater_equal<>()) == v.end();
+}
+
+} // namespace
+
+TEST(Stash, ClassListsStayInSeqOrderUnderRandomOps)
+{
+    // The stash keeps reals and shadows on separate seq-ordered
+    // lists.  Over random insert / remove / dropShadowOf /
+    // real-replaces-shadow / save-restore sequences: forEach and the
+    // snapshot visit strictly increasing seq, forEachShadow yields
+    // exactly the shadows and the eviction plan exactly the reals
+    // (each in seq order), and save -> load -> save is byte-equal.
+    const unsigned capacity = 24;
+    const Addr addrs = 40;
+    for (std::uint64_t seed : {11u, 12u, 13u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        auto stash = std::make_unique<Stash>(capacity);
+        std::vector<std::uint8_t> snap = saveBytes(*stash);
+        std::uint64_t replacements = 0;
+        for (int step = 0; step < 4000; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            const Addr addr = rng.below(addrs);
+            const StashEntry *cur = stash->find(addr);
+            const std::uint64_t op = rng.below(100);
+            if (op < 50) {
+                // A real copy never meets a real; over a resident
+                // shadow it is the real-replaces-shadow move.
+                const bool real = cur ? cur->isShadow() && rng.chance(0.6)
+                                      : rng.chance(0.3);
+                replacements += real && cur != nullptr;
+                stash->insert(entry(addr,
+                                    real ? BlockType::Real
+                                         : BlockType::Shadow,
+                                    0, rng.below(64)));
+            } else if (op < 75) {
+                if (cur)
+                    stash->remove(addr);
+            } else if (op < 85) {
+                stash->dropShadowOf(addr);
+            } else if (op < 92) {
+                snap = saveBytes(*stash);
+            } else if (op < 96) {
+                loadBytes(*stash, snap);  // Rollback in place.
+            } else {
+                auto fresh = std::make_unique<Stash>(capacity);
+                loadBytes(*fresh, saveBytes(*stash));
+                stash = std::move(fresh);
+            }
+
+            std::vector<std::uint64_t> all;
+            std::vector<std::pair<std::uint64_t, Addr>> reals, shadows;
+            stash->forEach([&](const StashEntry &e) {
+                all.push_back(e.seq);
+                (e.isShadow() ? shadows : reals)
+                    .emplace_back(e.seq, e.addr);
+            });
+            ASSERT_TRUE(strictlyIncreasing(all));
+            ASSERT_EQ(all.size(), stash->size());
+
+            const std::vector<std::uint8_t> bytes = saveBytes(*stash);
+            ASSERT_EQ(snapshotSeqs(bytes), all);
+
+            std::vector<std::pair<std::uint64_t, Addr>> visited;
+            stash->forEachShadow([&](const StashEntry &e) {
+                ASSERT_TRUE(e.isShadow());
+                visited.emplace_back(e.seq, e.addr);
+            });
+            ASSERT_EQ(visited, shadows);
+
+            std::vector<Addr> realAddrs;
+            for (const auto &r : reals)
+                realAddrs.push_back(r.second);
+            const Stash::EvictionPlan plan =
+                stash->planEviction([](LeafLabel) { return 0u; });
+            ASSERT_EQ(plan.eligibleForLevel(0), realAddrs);
+
+            Stash copy(capacity);
+            loadBytes(copy, bytes);
+            ASSERT_EQ(saveBytes(copy), bytes);
+        }
+        EXPECT_GT(replacements, 100u);
     }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "OramTestUtil.hh"
 #include "common/Rng.hh"
@@ -129,6 +133,74 @@ TEST(TinyOram, DummyAccessLeavesStateUntouched)
     EXPECT_EQ(fx.oram().stash().realCount(), stashReal);
     EXPECT_EQ(fx.oram().stats().evictions, evictions);
     EXPECT_EQ(fx.oram().stats().dummyAccesses, 3u);
+}
+
+namespace {
+
+/** Every OramStats counter a dummy path read must leave alone: all
+ *  but pathReads and dummyAccesses. */
+constexpr std::uint64_t OramStats::*kNonDummyStats[] = {
+    &OramStats::requests,        &OramStats::stashHits,
+    &OramStats::shadowStashHits, &OramStats::onChipHits,
+    &OramStats::shadowForwards,  &OramStats::pathWrites,
+    &OramStats::posMapAccesses,  &OramStats::shadowsWritten,
+    &OramStats::evictions,       &OramStats::levelsAdvanced,
+    &OramStats::faultsInjected,  &OramStats::faultsDetected,
+    &OramStats::faultsRecovered, &OramStats::faultsUnrecoverable,
+    &OramStats::slotsQuarantined, &OramStats::quarantineEvacuations,
+    &OramStats::degradedEntries, &OramStats::degradedTicks,
+    &OramStats::emergencyEvictions,
+};
+
+template <typename T>
+std::vector<std::uint8_t>
+stateBytes(const T &part)
+{
+    ckpt::Serializer out;
+    part.saveState(out);
+    return out.take();
+}
+
+} // namespace
+
+TEST(TinyOram, DummyPathReadChangesOnlyItsCounters)
+{
+    // A timing-protection dummy reads a random path and discards it:
+    // it takes nothing and forwards nothing, so the tree (slots and
+    // ciphertexts), the stash and every counter but pathReads and
+    // dummyAccesses stay as they were.  Dummies whose access count
+    // triggers an eviction are skipped: the eviction moves blocks.
+    const OramConfig cfg = smallConfig();
+    OramStack fx(Scheme::Shadow, cfg);
+    TinyOram &oram = fx.oram();
+    Rng rng(29);
+    Cycles t = 0;
+    unsigned checked = 0;
+    for (int i = 0; i < 400; ++i) {
+        SCOPED_TRACE("round " + std::to_string(i));
+        const Addr a =
+            rng.chance(0.7) ? rng.below(32) : rng.below(cfg.dataBlocks);
+        t = oram.access(a, rng.chance(0.3) ? Op::Write : Op::Read,
+                        t + 100)
+                .completeAt;
+        const OramStats before = oram.stats();
+        const std::vector<std::uint8_t> tree = stateBytes(oram.tree());
+        const std::vector<std::uint8_t> stash = stateBytes(oram.stash());
+        t = oram.dummyAccess(t + 100);
+        const OramStats &after = oram.stats();
+        if (after.evictions != before.evictions)
+            continue;
+        ++checked;
+        ASSERT_EQ(stateBytes(oram.tree()), tree);
+        ASSERT_EQ(stateBytes(oram.stash()), stash);
+        ASSERT_EQ(after.pathReads, before.pathReads + 1);
+        ASSERT_EQ(after.dummyAccesses, before.dummyAccesses + 1);
+        for (auto field : kNonDummyStats)
+            ASSERT_EQ(after.*field, before.*field);
+    }
+    EXPECT_GT(checked, 200u);
+    EXPECT_GT(oram.stats().shadowsWritten, 0u);
+    EXPECT_GT(oram.stash().shadowCount(), 0u);
 }
 
 TEST(TinyOram, ForwardBeforeCompleteOnPathAccess)
@@ -266,7 +338,8 @@ TEST(TinyOram, StashNeverOverflowsUnderRandomLoad)
 
 namespace {
 
-/** Forwards every hook to a ShadowPolicy and counts hotnessOf. */
+/** Forwards every hook (hotnessMoved too) to a ShadowPolicy and
+ *  counts hotnessOf. */
 class HotnessCountingPolicy final : public DuplicationPolicy
 {
   public:
@@ -310,6 +383,11 @@ class HotnessCountingPolicy final : public DuplicationPolicy
         ++lookups;
         return _inner->hotnessOf(addr);
     }
+    std::optional<std::array<Addr, 2>>
+    hotnessMoved() const override
+    {
+        return _inner->hotnessMoved();
+    }
 
     mutable std::uint64_t lookups = 0;
 
@@ -322,9 +400,12 @@ class HotnessCountingPolicy final : public DuplicationPolicy
 TEST(TinyOram, HotnessLookupsPerAccessStayBelowCapacityPlusInserts)
 {
     // Deterministic op-count ceiling for LFU shadow displacement:
-    // one access may re-read each resident shadow's hotness once
-    // (after its LLC miss moved the counters) plus once per block it
-    // inserts into the stash — not once per shadow per displacement.
+    // one access re-reads the hotness of the (at most two) addresses
+    // its LLC miss moved plus once per block it inserts into the
+    // stash — not once per resident shadow, and not once per shadow
+    // per displacement.  The one access whose displacement does the
+    // initial full refresh (the keys start stale) may instead
+    // re-read each resident shadow once.
     OramConfig cfg;
     cfg.dataBlocks = std::uint64_t(1) << 16;
     cfg.posMapMode = PosMapMode::OnChip;
@@ -339,6 +420,7 @@ TEST(TinyOram, HotnessLookupsPerAccessStayBelowCapacityPlusInserts)
 
     WorkloadGenerator gen(specProfile("mcf"), 12345);
     std::uint64_t worstExcess = 0, worstAccess = 0;
+    std::uint64_t fullRefreshes = 0;
     Cycles t = 0;
     const std::vector<LlcMissRecord> trace = gen.generate(3000);
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -350,8 +432,10 @@ TEST(TinyOram, HotnessLookupsPerAccessStayBelowCapacityPlusInserts)
                         rec.isWrite ? Op::Write : Op::Read, t + 100)
                 .completeAt;
         const std::uint64_t calls = policy.lookups - lookups0;
-        const std::uint64_t ceiling =
-            cfg.stashCapacity + (oram.stash().inserts() - inserts0);
+        const std::uint64_t inserts = oram.stash().inserts() - inserts0;
+        std::uint64_t ceiling = 2 + inserts;
+        if (calls > ceiling && fullRefreshes++ == 0)
+            ceiling = cfg.stashCapacity + inserts;
         if (calls > ceiling && calls - ceiling > worstExcess) {
             worstExcess = calls - ceiling;
             worstAccess = i;
@@ -360,6 +444,7 @@ TEST(TinyOram, HotnessLookupsPerAccessStayBelowCapacityPlusInserts)
     // The displacement path must actually have run.
     EXPECT_GT(policy.lookups, trace.size());
     EXPECT_EQ(worstExcess, 0u) << "access " << worstAccess;
+    EXPECT_LE(fullRefreshes, 1u);
 }
 
 namespace {

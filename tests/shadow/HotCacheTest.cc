@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/Rng.hh"
 #include "shadow/HotAddressCache.hh"
 
 using namespace sboram;
@@ -32,6 +35,42 @@ TEST(HotAddressCache, LfuKeepsHotVictimizesCold)
     EXPECT_EQ(hac.count(100), 10u);
     EXPECT_EQ(hac.count(200), 0u);
     EXPECT_EQ(hac.count(300), 1u);
+}
+
+TEST(HotAddressCache, TouchReportsTheEvictedTag)
+{
+    HotAddressCache hac(2, 2);
+    EXPECT_EQ(hac.touch(100), kInvalidAddr);  // Free way.
+    EXPECT_EQ(hac.touch(200), kInvalidAddr);  // Free way.
+    EXPECT_EQ(hac.touch(100), kInvalidAddr);  // Hit.
+    EXPECT_EQ(hac.touch(300), 200u);          // LFU victim.
+    EXPECT_EQ(hac.count(200), 0u);
+}
+
+TEST(HotAddressCache, OnlyTheTouchedAndEvictedCountsMove)
+{
+    // The stash re-keys just these two addresses after an LLC miss,
+    // so no other address's count may change across a touch.
+    HotAddressCache hac(16, 4);
+    Rng rng(41);
+    const Addr universe = 96;
+    std::vector<std::uint32_t> before(universe);
+    for (int step = 0; step < 5000; ++step) {
+        for (Addr a = 0; a < universe; ++a)
+            before[a] = hac.count(a);
+        const Addr addr = rng.below(universe);
+        const Addr evicted = hac.touch(addr);
+        EXPECT_NE(evicted, addr);
+        if (evicted != kInvalidAddr) {
+            EXPECT_GT(before[evicted], 0u);
+            EXPECT_EQ(hac.count(evicted), 0u);
+        }
+        EXPECT_EQ(hac.count(addr), before[addr] + 1);
+        for (Addr a = 0; a < universe; ++a) {
+            if (a != addr && a != evicted)
+                ASSERT_EQ(hac.count(a), before[a]) << "step " << step;
+        }
+    }
 }
 
 TEST(HotAddressCache, HitMissCounters)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "shadow/ShadowPolicy.hh"
 
 using namespace sboram;
@@ -63,6 +66,32 @@ TEST(ShadowPolicy, HdOnlyDuplicatesHottestFirst)
     ASSERT_TRUE(choice.has_value());
     EXPECT_EQ(choice->addr, 77u);  // Hotter despite shallower.
     EXPECT_EQ(policy.stats().hdDuplications, 1u);
+}
+
+TEST(ShadowPolicy, HotnessMovedReportsTheLatestMiss)
+{
+    // Two-way single set: the third distinct address evicts.
+    ShadowConfig cfg = hdOnly();
+    cfg.hotCacheEntries = 2;
+    cfg.hotCacheAssoc = 2;
+    ShadowPolicy policy(cfg, 18);
+    EXPECT_FALSE(policy.hotnessMoved().has_value());  // No miss yet.
+
+    policy.onLlcMiss(5);
+    policy.onLlcMiss(5);
+    policy.onLlcMiss(6);
+    using Moved = std::array<Addr, 2>;
+    EXPECT_EQ(policy.hotnessMoved(), (Moved{6, kInvalidAddr}));
+    policy.onLlcMiss(7);  // Evicts 6, the least frequent.
+    EXPECT_EQ(policy.hotnessMoved(), (Moved{7, 6}));
+
+    // A restore may move any value: the answer is "unknown" again.
+    ckpt::Serializer out;
+    policy.saveState(out);
+    const std::vector<std::uint8_t> bytes = out.take();
+    ckpt::Deserializer in(bytes.data(), bytes.size());
+    policy.loadState(in);
+    EXPECT_FALSE(policy.hotnessMoved().has_value());
 }
 
 TEST(ShadowPolicy, NoCandidateForTooShallowSlot)
